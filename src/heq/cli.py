@@ -41,7 +41,8 @@ def parse_matrix(text: str) -> ProjMat2:
         data = data.get("m")
     if (not isinstance(data, list) or len(data) != 2
             or any(not isinstance(row, list) or len(row) != 2 for row in data)
-            or any(not isinstance(x, int) for row in data for x in row)):
+            or any(not isinstance(x, int) or isinstance(x, bool)
+                   for row in data for x in row)):
         raise InputError(f"matrix {text!r} is not [[a,b],[c,d]] with integer entries")
     try:
         return ProjMat2(data[0][0], data[0][1], data[1][0], data[1][1])
@@ -117,8 +118,8 @@ def cmd_oracle(args) -> int:
     result = enumerate_kernel(ctx, args.max_len)
     for word in result.witnesses:
         print(json.dumps({"word": format_eq_word(word, ctx), "length": len(word)}))
-    print(f"{len(result.witnesses)} witness(es) up to length {args.max_len} "
-          f"[{result.backend} backend]", file=sys.stderr)
+    print(f"{len(result.witnesses)} witness(es) up to length {args.max_len}",
+          file=sys.stderr)
     return 0
 
 

@@ -8,60 +8,26 @@ an adjacent letter-inverse pair are skipped because a shorter equal word is
 enumerated anyway, and a branch is cut only when the image in C2 x C3 can no
 longer reach (0,0) within the remaining length budget.
 
-The depth-first search is the one hot loop in this package.  It runs as a
-numba kernel over int64 matrices when available, with a pure-Python
-arbitrary-precision fallback; HEQ_BACKEND=python|numba forces a side.  The
-kernel guards against int64 overflow and falls back to the exact path if
-entries grow too large.  Either way, every candidate the search reports is
-re-verified with exact integer arithmetic before it becomes a witness.
+The search is a depth-first walk over exact (arbitrary-precision) integer
+matrices.  Every candidate it reports is evaluated again through the
+equation layer before it becomes a witness, so a fault in the search raises
+instead of producing a wrong witness.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .equations import EqWord, HContext, evaluate, reduce_equation
 from .psl2 import IDENTITY
 from .words import AB_ZERO
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is an optional dependency
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_INT64_GUARD_BITS = 62
-
-
-def _backend() -> str:
-    env = os.environ.get("HEQ_BACKEND", "auto").lower()
-    if env in ("python", "numpy"):
-        return "python"
-    if env == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("HEQ_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "python"
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
     max_len: int
     witnesses: tuple[EqWord, ...]
-    backend: str
+    backend: str = "python"  # one search path; the name stays for callers that record it
 
 
 def _search_tables(ctx: HContext):
@@ -103,7 +69,7 @@ def _search_tables(ctx: HContext):
     return mats, trans, min_steps
 
 
-def _candidates_python(mats, trans, min_steps, max_len: int) -> list[tuple[int, ...]]:
+def _candidates(mats, trans, min_steps, max_len: int) -> list[tuple[int, ...]]:
     nsigned = len(mats)
     found: list[tuple[int, ...]] = []
     path: list[int] = []
@@ -130,119 +96,27 @@ def _candidates_python(mats, trans, min_steps, max_len: int) -> list[tuple[int, 
     return found
 
 
-@njit(cache=True)
-def _candidates_kernel(mats, trans, min_steps, max_len, out, lengths, guard):  # pragma: no cover - numba
-    nsigned = mats.shape[0]
-    limit = out.shape[0]
-    cur = np.empty((max_len + 1, 4), np.int64)
-    cur[0, 0] = 1
-    cur[0, 1] = 0
-    cur[0, 2] = 0
-    cur[0, 3] = 1
-    states = np.zeros(max_len + 1, np.int64)
-    choice = np.zeros(max_len + 1, np.int64)
-    last = np.empty(max_len + 1, np.int64)
-    last[0] = -1
-    path = np.zeros(max_len, np.int64)
-    nfound = 0
-    depth = 0
-    while depth >= 0:
-        if depth == max_len or choice[depth] >= nsigned:
-            depth -= 1
-            continue
-        idx = choice[depth]
-        choice[depth] += 1
-        if last[depth] >= 0 and idx == last[depth] ^ 1:
-            continue
-        st2 = trans[states[depth], idx]
-        if min_steps[st2] > max_len - depth - 1:
-            continue
-        a = cur[depth, 0]
-        b = cur[depth, 1]
-        c = cur[depth, 2]
-        d = cur[depth, 3]
-        if (abs(a) > guard or abs(b) > guard or abs(c) > guard or abs(d) > guard):
-            return nfound, 1
-        e = mats[idx, 0]
-        f = mats[idx, 1]
-        g = mats[idx, 2]
-        h = mats[idx, 3]
-        n0 = a * e + b * g
-        n1 = a * f + b * h
-        n2 = c * e + d * g
-        n3 = c * f + d * h
-        depth += 1
-        cur[depth, 0] = n0
-        cur[depth, 1] = n1
-        cur[depth, 2] = n2
-        cur[depth, 3] = n3
-        states[depth] = st2
-        last[depth] = idx
-        choice[depth] = 0
-        path[depth - 1] = idx
-        if n1 == 0 and n2 == 0 and n0 == n3 and n0 * n0 == 1:
-            if nfound < limit:
-                lengths[nfound] = depth
-                for i in range(depth):
-                    out[nfound, i] = path[i]
-            nfound += 1
-    return nfound, 0
-
-
-def _candidates_numba(mats, trans, min_steps, max_len: int
-                      ) -> list[tuple[int, ...]] | None:
-    """Run the numba kernel; None means the int64 guard tripped."""
-    max_entry = max(abs(x) for m in mats for x in m)
-    if max_entry.bit_length() > 20:
-        return None
-    guard = (1 << _INT64_GUARD_BITS) // (2 * max_entry)
-    mats_arr = np.array(mats, dtype=np.int64)
-    trans_arr = np.array(trans, dtype=np.int64)
-    steps_arr = np.array(min_steps, dtype=np.int64)
-    limit = 4096
-    while True:
-        out = np.zeros((limit, max_len), dtype=np.int64)
-        lengths = np.zeros(limit, dtype=np.int64)
-        nfound, status = _candidates_kernel(
-            mats_arr, trans_arr, steps_arr, max_len, out, lengths, guard)
-        if status != 0:
-            return None
-        if nfound <= limit:
-            return [tuple(int(x) for x in out[i, : lengths[i]]) for i in range(nfound)]
-        limit = nfound
-
-
-def enumerate_kernel(ctx: HContext, max_len: int, backend: str | None = None
-                     ) -> EnumerationResult:
+def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
     """Exhaustive witness search over words of length <= max_len.
 
     A witness is a word that evaluates to the identity at g but is a
-    nontrivial element of H*<x>.  Witnesses come out sorted by length, then
-    by discovery order, as raw EqWords.
+    nontrivial element of H*<x>.  Witnesses come out as raw EqWords sorted
+    by (length, word), letters compared as signed integers.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    chosen = backend or _backend()
-    mats, trans, min_steps = _search_tables(ctx)
-    candidates = None
-    used = chosen
-    if chosen == "numba":
-        candidates = _candidates_numba(mats, trans, min_steps, max_len)
-        if candidates is None:
-            used = "python"
-    if candidates is None:
-        candidates = _candidates_python(mats, trans, min_steps, max_len)
+    candidates = _candidates(*_search_tables(ctx), max_len)
 
     witnesses: list[EqWord] = []
     for idx_path in candidates:
         word: EqWord = tuple(
             (idx // 2 + 1) * (1 if idx % 2 == 0 else -1) for idx in idx_path)
         if evaluate(word, ctx) != IDENTITY or ctx.word_image(word) != AB_ZERO:
-            raise RuntimeError(f"search backend produced a non-witness {word}")
+            raise RuntimeError(f"search produced a non-witness {word}")
         if not reduce_equation(word, ctx).is_trivial():
             witnesses.append(word)
     witnesses.sort(key=lambda w: (len(w), w))
-    return EnumerationResult(max_len, tuple(witnesses), used)
+    return EnumerationResult(max_len, tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -252,7 +126,7 @@ class CrossCheckResult:
     detail: str
 
 
-def cross_check(report, max_len: int, backend: str | None = None) -> CrossCheckResult:
+def cross_check(report, max_len: int) -> CrossCheckResult:
     """Compare a report's verdict against the enumeration.
 
     A transcendental verdict fails if any witness exists; with no witness it
@@ -260,7 +134,7 @@ def cross_check(report, max_len: int, backend: str | None = None) -> CrossCheckR
     """
     from .pipeline import VERDICT_TRANSCENDENTAL
 
-    result = enumerate_kernel(report.ctx, max_len, backend=backend)
+    result = enumerate_kernel(report.ctx, max_len)
     n = len(result.witnesses)
     if report.verdict == VERDICT_TRANSCENDENTAL:
         if n:

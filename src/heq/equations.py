@@ -35,9 +35,9 @@ class HContext:
     g_word: ABWord
 
     def __post_init__(self):
-        for mat, word in zip(self.h_mats, self.h_words):
-            assert eval_ab(word) == mat
-        assert eval_ab(self.g_word) == self.g_mat
+        for mat, word in zip(self.h_mats + (self.g_mat,), self.h_words + (self.g_word,)):
+            if eval_ab(word) != mat:
+                raise RuntimeError(f"a/b-word of {mat} does not evaluate to it")
 
     @classmethod
     def from_matrices(cls, h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> "HContext":

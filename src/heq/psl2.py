@@ -110,9 +110,11 @@ def order(m: ProjMat2) -> int | float:
     m2 = m * m
     m3 = m2 * m
     if guess == 2:
-        assert m2 == IDENTITY
+        confirmed = m2 == IDENTITY
     elif guess == 3:
-        assert m2 != IDENTITY and m3 == IDENTITY
+        confirmed = m2 != IDENTITY and m3 == IDENTITY
     else:
-        assert m2 != IDENTITY and m3 != IDENTITY
+        confirmed = m2 != IDENTITY and m3 != IDENTITY
+    if not confirmed:
+        raise RuntimeError(f"trace criterion gave order {guess} for {m}")
     return guess

@@ -38,15 +38,12 @@ class Edge:
     label: int  # 1 = p, 2 = q
     dst: int
     mem: Word = ()
-    prov: tuple[int, int] | None = None  # (petal, position), 1-based
 
 
 @dataclass(frozen=True)
 class FoldStep:
     closed: bool
     label: int
-    kept_prov: tuple[int, int] | None
-    merged_prov: tuple[int, int] | None
     relator: Word | None = None
 
 
@@ -210,6 +207,25 @@ class StallingsAutomaton:
         return "\n".join(lines)
 
 
+def _attach_petal(aut: StallingsAutomaton, petal: int, word: FreeWord) -> None:
+    """Add a petal reading the non-empty word at the basepoint, on fresh
+    vertices numbered after the existing ones; its last edge carries x_petal."""
+    base = aut.base
+    fresh = max(aut.vertices(), default=base) + 1
+    cur = base
+    for pos, let in enumerate(word, start=1):
+        last = pos == len(word)
+        nxt = base if last else fresh
+        if not last:
+            fresh += 1
+        mem: Word = (petal,) if last else ()
+        if let > 0:
+            aut.edges.append(Edge(cur, let, nxt, mem))
+        else:
+            aut.edges.append(Edge(nxt, -let, cur, invert_word(mem)))
+        cur = nxt
+
+
 def build_flower(words: Sequence[FreeWord]) -> StallingsAutomaton:
     """Flower automaton: one petal per word, all attached at the basepoint.
 
@@ -217,26 +233,15 @@ def build_flower(words: Sequence[FreeWord]) -> StallingsAutomaton:
     trivial_petals and fold() turns each into the immediate relator x_i.
     The last edge of petal i carries the memory letter x_i.
     """
-    edges: list[Edge] = []
+    aut = StallingsAutomaton(0, [])
     trivial: list[int] = []
-    next_vertex = 1
     for petal, word in enumerate(words, start=1):
-        if not word:
+        if word:
+            _attach_petal(aut, petal, word)
+        else:
             trivial.append(petal)
-            continue
-        cur = 0
-        for pos, let in enumerate(word, start=1):
-            last = pos == len(word)
-            nxt = 0 if last else next_vertex
-            if not last:
-                next_vertex += 1
-            mem: Word = (petal,) if last else ()
-            if let > 0:
-                edges.append(Edge(cur, let, nxt, mem, (petal, pos)))
-            else:
-                edges.append(Edge(nxt, -let, cur, invert_word(mem), (petal, pos)))
-            cur = nxt
-    return StallingsAutomaton(0, edges, folded=False, trivial_petals=tuple(trivial))
+    aut.trivial_petals = tuple(trivial)
+    return aut
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +317,7 @@ def _fold_pair(aut: StallingsAutomaton, direction: int, keep_i: int, merge_i: in
         path = _mem_path(aut, keep.src)
         relator = free_reduce(path + keep.mem + invert_word(merge.mem) + invert_word(path))
         assert relator, "closed folding produced an empty relator"
-        steps.append(FoldStep(True, keep.label, keep.prov, merge.prov, relator))
+        steps.append(FoldStep(True, keep.label, relator))
         del aut.edges[merge_i]
         return
     if direction == 0:
@@ -328,7 +333,7 @@ def _fold_pair(aut: StallingsAutomaton, direction: int, keep_i: int, merge_i: in
             keep, merge = merge, keep
             y, z = merge.src, keep.src
         _gauge(aut, y, free_reduce(merge.mem + invert_word(keep.mem)))
-    steps.append(FoldStep(False, keep.label, keep.prov, merge.prov, None))
+    steps.append(FoldStep(False, keep.label))
     for idx, e in enumerate(aut.edges):
         if e is merge:
             del aut.edges[idx]
@@ -374,7 +379,7 @@ def fold(aut: StallingsAutomaton, _order_variant: int = 0
     unchanged with an empty log.
     """
     work = aut.copy()
-    steps = [FoldStep(True, 0, (i, 0), (i, 0), (i,)) for i in aut.trivial_petals]
+    steps = [FoldStep(True, 0, (i,)) for i in aut.trivial_petals]
     steps += _fold_in_place(work, _order_variant)
     work.trivial_petals = ()
     return work, FoldingLog(tuple(steps))
@@ -409,23 +414,6 @@ class PresentationOnGenerators:
     def relator_names(self) -> tuple[str, ...]:
         names = tuple(f"x{i}" for i in range(1, self.generator_count + 1))
         return tuple(format_word(r, names) for r in self.relators)
-
-
-def _attach_petal(aut: StallingsAutomaton, petal: int, word: FreeWord) -> None:
-    base = aut.base
-    fresh = max(aut.vertices(), default=base) + 1
-    cur = base
-    for pos, let in enumerate(word, start=1):
-        last = pos == len(word)
-        nxt = base if last else fresh
-        if not last:
-            fresh += 1
-        mem: Word = (petal,) if last else ()
-        if let > 0:
-            aut.edges.append(Edge(cur, let, nxt, mem, (petal, pos)))
-        else:
-            aut.edges.append(Edge(nxt, -let, cur, invert_word(mem), (petal, pos)))
-        cur = nxt
 
 
 def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:

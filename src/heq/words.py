@@ -156,7 +156,8 @@ def decompose(m: ProjMat2) -> ABWord:
         else:
             letters.extend(["a", "b2"] * (-n))  # T^-1 = a b^2
     word = reduce_ab(letters)
-    assert eval_ab(word) == m
+    if eval_ab(word) != m:
+        raise RuntimeError(f"decomposition of {m} does not evaluate back to it")
     return word
 
 

@@ -1,8 +1,11 @@
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import heq
 from heq.psl2 import MAT_A, MAT_B, ProjMat2
 from heq.equations import HContext
 
@@ -13,6 +16,15 @@ SEED = int(os.environ.get("HEQ_SEED", "20250810"))
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(SEED)
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this same heq."""
+    src = os.path.dirname(os.path.dirname(heq.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
 
 
 def random_matrix(rng: random.Random, max_len: int = 12) -> ProjMat2:

@@ -76,6 +76,8 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "decompose", "[[1,1],[1,1]]")
     assert code == 2
+    code, _, err = run(capsys, "decompose", "[[true,1],[0,true]]")
+    assert code == 2 and "integer entries" in err
     code, _, err = run(capsys, "verify", "/nonexistent/report.json")
     assert code == 2
 

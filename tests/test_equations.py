@@ -163,5 +163,5 @@ def test_format_parse_round_trip(ctx_44, rng):
 def test_context_validates_words(h1, h2):
     from heq.words import decompose
 
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError):
         HContext((h1,), (decompose(h2),), h1, decompose(h1))

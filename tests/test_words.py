@@ -16,7 +16,7 @@ from heq.words import (
 )
 from heq.freewords import NotInKernel, rewrite_kernel
 
-from conftest import random_matrix
+from conftest import random_matrix, run_python
 
 _LETTER_MATS = {"a": MAT_A, "a^-1": MAT_A.inv(),
                 "b": MAT_B, "b^-1": MAT_B.inv()}
@@ -63,6 +63,25 @@ def test_decompose_round_trip(rng):
     for _ in range(200):
         word = reduce_ab(rng.choice(letters) for _ in range(rng.randrange(40)))
         assert decompose(eval_ab(word)) == word
+
+
+_WRONG_EVAL = """
+import heq.words
+from heq.psl2 import IDENTITY, ProjMat2
+if __debug__:
+    raise SystemExit("not run under -O")
+heq.words.eval_ab = lambda word: IDENTITY
+try:
+    heq.words.decompose(ProjMat2(2, 1, 1, 1))
+except RuntimeError:
+    print("RuntimeError")
+"""
+
+
+def test_decompose_self_check_survives_optimize():
+    out = run_python(_WRONG_EVAL, "-O")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "RuntimeError"
 
 
 def test_abelianize_examples():
