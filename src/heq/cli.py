@@ -106,7 +106,14 @@ def cmd_verify(args) -> int:
     else:
         with open(args.report) as fh:
             data = json.load(fh)
-    report = AnalysisReport.from_dict(data)
+    try:
+        report = AnalysisReport.from_dict(data)
+    except IndexCapExceeded:
+        raise  # an index too small to rebuild the graph is an input error
+    except RuntimeError as exc:
+        # the report's words do not evaluate to its matrices
+        print(f"FAIL report context: {exc}")
+        return 1
     result = verify(report)
     print(result.summary())
     return 0 if result.ok else 1

@@ -90,7 +90,9 @@ class HEquation:
     __slots__ = ("coeffs", "signs")
 
     def __init__(self, coeffs: Sequence[tuple[ProjMat2, Word]], signs: Sequence[int]):
-        assert len(coeffs) == len(signs) + 1
+        if len(coeffs) != len(signs) + 1:
+            raise ValueError(f"{len(coeffs)} coefficients for {len(signs)} signs, "
+                             "need one more coefficient than signs")
         self.coeffs = tuple(coeffs)
         self.signs = tuple(signs)
 

@@ -147,7 +147,7 @@ def gamma_table_self_check() -> None:
             target = _TRANSVERSAL[u + _LETTER_IMAGE[letter]]
             rhs = eval_ab(_TRANSVERSAL[u]) * _LETTER_MAT[letter] * eval_ab(target).inv()
             if lhs != rhs:
-                raise AssertionError(f"gamma table wrong at ({u}, {letter})")
+                raise RuntimeError(f"gamma table wrong at ({u}, {letter})")
 
 
 gamma_table_self_check()

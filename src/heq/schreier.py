@@ -77,7 +77,7 @@ def build_schreier(letters: Sequence[str], oracle: Callable[[Word], bool],
                     tree.add((v, letter) if sl > 0 else (target, letter))
                 back = trans.get((target, -sl))
                 if back is not None and back != v:
-                    raise AssertionError("oracle is not a subgroup membership predicate")
+                    raise RuntimeError("oracle is not a subgroup membership predicate")
                 trans[(v, sl)] = target
                 trans[(target, -sl)] = v
         v += 1

@@ -13,12 +13,31 @@ edges whose memories disagree is preceded by a "gauge" move at the absorbed
 vertex, which re-routes the discrepancy onto the other incident edges and
 keeps the invariant intact; a closed folding then reads its relator straight
 off the two memories.
+
+Relators, memories and vertex numbers depend on the fold order, which is
+fixed.  Each step folds at the first *dirty* vertex (one with two edges of
+the same label and direction) in breadth-first order from the basepoint,
+where a vertex's edges are walked p before q, outgoing before incoming, then
+by position in the edge list.  There it takes the first such pair in the
+same (label, direction) order, the two lowest-placed edges; an open folding
+absorbs the far end of the later edge into that of the earlier one, unless
+the later one ends at the basepoint, which is never absorbed.  The
+confluence tests' order variant reverses the (label, direction) order.
+
+The engine keeps that order without rescanning the automaton: for the whole
+fold it keeps each vertex's edges bucketed by (label, direction) in edge-list
+order, deletions keeping the relative order, and the set of dirty vertices.
+Only the absorbing vertex can become dirty, so each step updates the
+vertices it touches, gauges and moves the absorbed vertex's edges only, and
+searches breadth-first from the basepoint up to the first dirty vertex;
+the basepoint and a lone dirty vertex are taken without a search.  A closed
+folding reads its path memory off that search tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Container, Sequence
 
 from .freewords import (
     FreeWord,
@@ -248,101 +267,23 @@ def build_flower(words: Sequence[FreeWord]) -> StallingsAutomaton:
 # folding engine
 # ---------------------------------------------------------------------------
 
-def _mem_path(aut: StallingsAutomaton, target: int) -> Word:
-    """Memory product along a BFS path base -> target in the current graph."""
-    if target == aut.base:
-        return ()
-    adj = aut._adjacency()
-    mem: dict[int, Word] = {aut.base: ()}
-    queue = [aut.base]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for _, direction, idx, other in adj[v]:
-            if other in mem:
-                continue
-            e = aut.edges[idx]
-            step = e.mem if direction == 0 else invert_word(e.mem)
-            mem[other] = free_reduce(mem[v] + step)
-            if other == target:
-                return mem[other]
-            queue.append(other)
-    raise AssertionError(f"vertex {target} unreachable from basepoint")
-
-
-def _find_foldable(aut: StallingsAutomaton, order_variant: int
-                   ) -> tuple[int, int, int] | None:
-    """First foldable pair (direction, edge index kept, edge index merged).
-
-    Default order: vertices in BFS discovery order, labels p before q,
-    outgoing duplicates before incoming.  order_variant=1 flips both (used
-    to exercise folding confluence).
-    """
-    labels = range(1, NUM_LABELS + 1) if order_variant == 0 else range(NUM_LABELS, 0, -1)
-    directions = (0, 1) if order_variant == 0 else (1, 0)
-    by_out: dict[tuple[int, int], list[int]] = {}
-    by_in: dict[tuple[int, int], list[int]] = {}
-    for i, e in enumerate(aut.edges):
-        by_out.setdefault((e.src, e.label), []).append(i)
-        by_in.setdefault((e.dst, e.label), []).append(i)
-    for v in aut.bfs_order():
-        for label in labels:
-            for direction in directions:
-                bucket = (by_out if direction == 0 else by_in).get((v, label), [])
-                if len(bucket) >= 2:
-                    return direction, bucket[0], bucket[1]
-    return None
-
-
-def _gauge(aut: StallingsAutomaton, vertex: int, gamma: Word) -> None:
-    """Multiply edge memories so path products through `vertex` are unchanged:
-    incoming memories pick up gamma on the right, outgoing gamma^-1 on the left."""
-    if not gamma:
-        return
-    inv_gamma = invert_word(gamma)
-    for e in aut.edges:
-        if e.src == vertex:
-            e.mem = free_reduce(inv_gamma + e.mem)
-        if e.dst == vertex:
-            e.mem = free_reduce(e.mem + gamma)
-
-
-def _fold_pair(aut: StallingsAutomaton, direction: int, keep_i: int, merge_i: int,
-               steps: list[FoldStep]) -> None:
-    keep, merge = aut.edges[keep_i], aut.edges[merge_i]
-    if keep.src == merge.src and keep.dst == merge.dst:
-        # closed folding: the two edges are parallel; read the relator around
-        # the redundant cycle, conjugated back to the basepoint
-        path = _mem_path(aut, keep.src)
-        relator = free_reduce(path + keep.mem + invert_word(merge.mem) + invert_word(path))
-        assert relator, "closed folding produced an empty relator"
-        steps.append(FoldStep(True, keep.label, relator))
-        del aut.edges[merge_i]
-        return
-    if direction == 0:
-        # same source, distinct targets: absorb one target into the other
-        y, z = merge.dst, keep.dst
-        if y == aut.base:
-            keep, merge = merge, keep
-            y, z = merge.dst, keep.dst
-        _gauge(aut, y, free_reduce(invert_word(merge.mem) + keep.mem))
-    else:
-        y, z = merge.src, keep.src
-        if y == aut.base:
-            keep, merge = merge, keep
-            y, z = merge.src, keep.src
-        _gauge(aut, y, free_reduce(merge.mem + invert_word(keep.mem)))
-    steps.append(FoldStep(False, keep.label))
-    for idx, e in enumerate(aut.edges):
-        if e is merge:
-            del aut.edges[idx]
-            break
-    for e in aut.edges:
-        if e.src == y:
-            e.src = z
-        if e.dst == y:
-            e.dst = z
+def _search(base: int, adj: dict[int, list[list[int]]], fars: tuple[list[int], ...],
+            targets: Container[int]) -> tuple[int | None, dict[int, int]]:
+    """Breadth-first search from base in _adjacency's order, stopped at the
+    first vertex of targets it reaches (None if it reaches none).  Also
+    returns the search tree: vertex -> serial of the edge that reached it."""
+    parent = {base: -1}
+    queue = [base]
+    for v in queue:
+        for far, bucket in zip(fars, adj[v]):
+            for i in bucket:
+                w = far[i]
+                if w not in parent:
+                    parent[w] = i
+                    if w in targets:
+                        return w, parent
+                    queue.append(w)
+    return None, parent
 
 
 def _trim(aut: StallingsAutomaton) -> None:
@@ -359,12 +300,124 @@ def _trim(aut: StallingsAutomaton) -> None:
 
 
 def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[FoldStep]:
+    """Fold aut until it is deterministic and co-deterministic, then trim it.
+
+    Takes the fold steps in the order the module docstring states; returns
+    them in that order.
+    """
+    base = aut.base
+    src = [e.src for e in aut.edges]
+    dst = [e.dst for e in aut.edges]
+    labels = [e.label for e in aut.edges]
+    mem = [e.mem for e in aut.edges]
+    alive = [True] * len(src)
+    # vertex -> buckets [p out, p in, q out, q in] of ascending edge serials;
+    # an edge in bucket `slot` leads on to fars[slot][serial]
+    slots = range(2 * NUM_LABELS)
+    adj: dict[int, list[list[int]]] = {base: [[] for _ in slots]}
+    for i, (u, w) in enumerate(zip(src, dst)):
+        slot = 2 * labels[i] - 2
+        for v, d in ((u, 0), (w, 1)):
+            if v not in adj:
+                adj[v] = [[] for _ in slots]
+            adj[v][slot + d].append(i)
+    fars = (dst, src) * NUM_LABELS
+    scan = slots if order_variant == 0 else slots[::-1]
+
+    def is_dirty(v: int) -> bool:
+        return any(len(bucket) > 1 for bucket in adj[v])
+
+    def recheck(v: int) -> None:
+        if is_dirty(v):
+            dirty.add(v)
+        else:
+            dirty.discard(v)
+
+    def drop(i: int) -> None:
+        alive[i] = False
+        slot = 2 * labels[i] - 2
+        adj[src[i]][slot].remove(i)
+        adj[dst[i]][slot + 1].remove(i)
+
+    def path_memory(parent: dict[int, int], v: int) -> Word:
+        """Memory product along the walk's tree path base -> v."""
+        chain: list[Word] = []
+        while v != base:
+            i = parent[v]
+            if dst[i] == v:
+                chain.append(mem[i])
+                v = src[i]
+            else:
+                chain.append(invert_word(mem[i]))
+                v = dst[i]
+        return free_reduce(let for part in reversed(chain) for let in part)
+
+    # folding never disconnects the graph and never reaches a vertex the
+    # basepoint cannot, so only reachable vertices are ever dirty
+    dirty = {v for v in _search(base, adj, fars, ())[1] if is_dirty(v)}
     steps: list[FoldStep] = []
-    while True:
-        pair = _find_foldable(aut, order_variant)
-        if pair is None:
-            break
-        _fold_pair(aut, *pair, steps)
+    while dirty:
+        parent = {base: -1}
+        if base in dirty:
+            v = base
+        elif len(dirty) == 1:
+            v = next(iter(dirty))
+        else:
+            v, parent = _search(base, adj, fars, dirty)
+        for slot in scan:
+            bucket = adj[v][slot]
+            if len(bucket) > 1:
+                break
+        keep, merge = bucket[0], bucket[1]
+        if src[keep] == src[merge] and dst[keep] == dst[merge]:
+            # closed folding: the two edges are parallel; read the relator
+            # around the redundant cycle, conjugated back to the basepoint
+            target = src[keep]
+            if target not in parent:
+                _, parent = _search(base, adj, fars, (target,))
+            path = path_memory(parent, target)
+            relator = free_reduce(path + mem[keep] + invert_word(mem[merge])
+                                  + invert_word(path))
+            if not relator:
+                raise RuntimeError("closed folding produced an empty relator")
+            steps.append(FoldStep(True, labels[keep], relator))
+            drop(merge)
+            recheck(src[merge])
+            recheck(dst[merge])
+            continue
+        # open folding: absorb vertex y into z, never the basepoint; the
+        # gauge at y keeps every path product through y unchanged
+        ends = fars[slot]
+        y, z = ends[merge], ends[keep]
+        if y == base:
+            keep, merge = merge, keep
+            y, z = z, y
+        if slot % 2 == 0:
+            gamma = free_reduce(invert_word(mem[merge]) + mem[keep])
+        else:
+            gamma = free_reduce(mem[merge] + invert_word(mem[keep]))
+        inv_gamma = invert_word(gamma)
+        steps.append(FoldStep(False, labels[keep]))
+        drop(merge)
+        for k, (moved, into) in enumerate(zip(adj.pop(y), adj[z])):
+            for i in moved:
+                if k % 2 == 0:
+                    src[i] = z
+                    if gamma:
+                        mem[i] = free_reduce(inv_gamma + mem[i])
+                else:
+                    dst[i] = z
+                    if gamma:
+                        mem[i] = free_reduce(mem[i] + gamma)
+            if moved:
+                into.extend(moved)
+                into.sort()
+        dirty.discard(y)
+        recheck(z)
+        if v != y:
+            recheck(v)
+    aut.edges = [Edge(src[i], labels[i], dst[i], mem[i])
+                 for i in range(len(src)) if alive[i]]
     _trim(aut)
     aut.folded = True
     return steps
@@ -443,7 +496,7 @@ def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
 
     rank = aut.rank()
     if len(relators) != len(gens) - rank:
-        raise AssertionError(
+        raise RuntimeError(
             f"relator count {len(relators)} != {len(gens)} - rank {rank}")
     for rel in relators:
         value: list[int] = []
@@ -451,5 +504,5 @@ def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
             part = gens[abs(let) - 1]
             value.extend(part if let > 0 else invert_word(part))
         if free_reduce(value):
-            raise AssertionError("relator does not evaluate to the identity")
+            raise RuntimeError("relator does not evaluate to the identity")
     return PresentationOnGenerators(len(gens), rank, aut.basis_words(), tuple(relators))

@@ -69,6 +69,19 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_forged_context_fails_cleanly(capsys, tmp_path):
+    # h_words[0] no longer evaluates to h[0]: the report's context is invalid
+    code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
+    data = json.loads(out)
+    data["h_words"][0] = "a"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.startswith("FAIL report context: ")
+    assert "Traceback" not in err
+
+
 def test_input_errors_exit_two(capsys):
     code, _, err = run(capsys, "analyze", "[[1,2],[3,4]]")
     assert code == 2 and "determinant" in err

@@ -12,6 +12,7 @@ from heq.equations import (
 )
 from heq.freewords import free_reduce, parse_free_word, pq_to_matrix
 
+from conftest import run_python
 
 
 def cyclic_reduce(word):
@@ -165,3 +166,21 @@ def test_context_validates_words(h1, h2):
 
     with pytest.raises(RuntimeError):
         HContext((h1,), (decompose(h2),), h1, decompose(h1))
+
+
+_UNBALANCED_EQUATION = """
+from heq.equations import HEquation
+from heq.psl2 import IDENTITY
+if __debug__:
+    raise SystemExit("not run under -O")
+try:
+    HEquation([(IDENTITY, ())], [1])
+except ValueError:
+    print("ValueError")
+"""
+
+
+def test_equation_shape_check_survives_optimize():
+    out = run_python(_UNBALANCED_EQUATION, "-O")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ValueError"

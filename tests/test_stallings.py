@@ -1,8 +1,10 @@
 import pytest
 
+from heq import stallings
 from heq.freewords import free_reduce, invert_word, parse_free_word as pw, pq_to_matrix
 from heq.stallings import (
     Edge,
+    FoldStep,
     StallingsAutomaton,
     build_flower,
     fold,
@@ -180,3 +182,132 @@ def test_dump_format():
     text = aut.dump()
     assert "--p-->" in text and "--q-->" in text
     assert "0*" in text
+
+
+# ---------------------------------------------------------------------------
+# reference folder: rescans the whole automaton at every step
+# ---------------------------------------------------------------------------
+
+def _ref_mem_path(aut, target):
+    """Memory product along a BFS path base -> target in the current graph."""
+    if target == aut.base:
+        return ()
+    adj = aut._adjacency()
+    mem = {aut.base: ()}
+    queue = [aut.base]
+    for v in queue:
+        for _, direction, idx, other in adj[v]:
+            if other in mem:
+                continue
+            e = aut.edges[idx]
+            mem[other] = free_reduce(mem[v] + (e.mem if direction == 0 else invert_word(e.mem)))
+            if other == target:
+                return mem[other]
+            queue.append(other)
+    raise RuntimeError(f"vertex {target} unreachable from basepoint")
+
+
+def _ref_find_foldable(aut, order_variant):
+    """First foldable pair (direction, edge index kept, edge index merged)."""
+    labels = (1, 2) if order_variant == 0 else (2, 1)
+    directions = (0, 1) if order_variant == 0 else (1, 0)
+    by_dir = ({}, {})
+    for i, e in enumerate(aut.edges):
+        by_dir[0].setdefault((e.src, e.label), []).append(i)
+        by_dir[1].setdefault((e.dst, e.label), []).append(i)
+    for v in aut.bfs_order():
+        for label in labels:
+            for direction in directions:
+                bucket = by_dir[direction].get((v, label), [])
+                if len(bucket) >= 2:
+                    return direction, bucket[0], bucket[1]
+    return None
+
+
+def _ref_gauge(aut, vertex, gamma):
+    for e in aut.edges:
+        if e.src == vertex:
+            e.mem = free_reduce(invert_word(gamma) + e.mem)
+        if e.dst == vertex:
+            e.mem = free_reduce(e.mem + gamma)
+
+
+def _ref_fold_pair(aut, direction, keep_i, merge_i, steps):
+    keep, merge = aut.edges[keep_i], aut.edges[merge_i]
+    if keep.src == merge.src and keep.dst == merge.dst:
+        path = _ref_mem_path(aut, keep.src)
+        relator = free_reduce(path + keep.mem + invert_word(merge.mem) + invert_word(path))
+        assert relator
+        steps.append(FoldStep(True, keep.label, relator))
+        del aut.edges[merge_i]
+        return
+    end = "dst" if direction == 0 else "src"
+    if getattr(merge, end) == aut.base:
+        keep, merge = merge, keep
+    y, z = getattr(merge, end), getattr(keep, end)
+    if direction == 0:
+        _ref_gauge(aut, y, free_reduce(invert_word(merge.mem) + keep.mem))
+    else:
+        _ref_gauge(aut, y, free_reduce(merge.mem + invert_word(keep.mem)))
+    steps.append(FoldStep(False, keep.label))
+    aut.edges = [e for e in aut.edges if e is not merge]
+    for e in aut.edges:
+        if e.src == y:
+            e.src = z
+        if e.dst == y:
+            e.dst = z
+
+
+def reference_fold_in_place(aut, order_variant=0):
+    steps = []
+    while (pair := _ref_find_foldable(aut, order_variant)) is not None:
+        _ref_fold_pair(aut, *pair, steps)
+    stallings._trim(aut)
+    aut.folded = True
+    return steps
+
+
+def random_generator_set(rng):
+    """Up to six words: random letters (not always freely reduced, so an
+    interior vertex can be dirty before any fold), empty words, repeats,
+    powers and concatenations of earlier words."""
+    gens = []
+    for _ in range(rng.randrange(1, 7)):
+        kind = rng.random()
+        if kind < 0.1:
+            gens.append(())
+        elif kind < 0.2 and gens:
+            gens.append(rng.choice(gens))
+        elif kind < 0.3 and gens:
+            gens.append(rng.choice(gens) * rng.randrange(2, 4))
+        elif kind < 0.45 and gens:
+            gens.append(rng.choice(gens) + rng.choice(gens))
+        else:
+            gens.append(tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, 12))))
+    return gens
+
+
+def _fold_outputs(aut):
+    out = []
+    for variant in (0, 1):
+        folded, log = fold(aut, _order_variant=variant)
+        out.append(([(e.src, e.label, e.dst, e.mem) for e in folded.edges], log.steps))
+    return out
+
+
+def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
+    sets = [random_generator_set(rng) for _ in range(250)]
+    automata = [build_flower(gens) for gens in sets] + [
+        # a dirty vertex the basepoint cannot reach is never folded
+        StallingsAutomaton(0, [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7)]),
+        # the only dirty vertex lies away from the basepoint: parallel loops
+        StallingsAutomaton(0, [Edge(0, 1, 1), Edge(1, 2, 1, (1,)), Edge(1, 2, 1, (2,)),
+                               Edge(1, 1, 0)]),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(stallings, "_fold_in_place", reference_fold_in_place)
+        expected = ([_fold_outputs(aut) for aut in automata],
+                    [subgroup_presentation(gens) for gens in sets])
+    actual = ([_fold_outputs(aut) for aut in automata],
+              [subgroup_presentation(gens) for gens in sets])
+    assert actual == expected
