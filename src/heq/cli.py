@@ -16,15 +16,9 @@ from . import __version__
 from .enumeration import enumerate_kernel
 from .equations import HContext, format_eq_word, render_equation
 from .freewords import format_free_word
-from .pipeline import (
-    DEFAULT_INDEX_CAP,
-    AnalysisReport,
-    equation_schreier_graph,
-    analyze,
-    verify,
-)
+from .pipeline import AnalysisReport, analyze, equation_schreier_graph, verify
 from .psl2 import NotUnimodular, ProjMat2
-from .schreier import IndexCapExceeded, to_dot
+from .schreier import to_dot
 from .words import abelianize, decompose, format_ab_word
 
 
@@ -92,7 +86,7 @@ def _print_text_report(report: AnalysisReport, show_matrices: bool) -> None:
 
 def cmd_analyze(args) -> int:
     h_mats, g_mat = _split_inputs(args.matrices)
-    report = analyze(h_mats, g_mat, index_cap=args.index_cap)
+    report = analyze(h_mats, g_mat)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -108,8 +102,6 @@ def cmd_verify(args) -> int:
             data = json.load(fh)
     try:
         report = AnalysisReport.from_dict(data)
-    except IndexCapExceeded:
-        raise  # an index too small to rebuild the graph is an input error
     except RuntimeError as exc:
         # the report's words do not evaluate to its matrices
         print(f"FAIL report context: {exc}")
@@ -133,7 +125,7 @@ def cmd_oracle(args) -> int:
 def cmd_schreier(args) -> int:
     h_mats, g_mat = _split_inputs(args.matrices)
     ctx = HContext.from_matrices(h_mats, g_mat)
-    graph = equation_schreier_graph(ctx, args.index_cap)
+    graph = equation_schreier_graph(ctx)
     if args.dot:
         print(to_dot(graph))
     else:
@@ -169,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--text", action="store_true", help="emit text (default)")
     p.add_argument("--show-matrices", action="store_true",
                    help="also print equations in matrix form")
-    p.add_argument("--index-cap", type=int, default=DEFAULT_INDEX_CAP)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="re-check an analyze --json report")
@@ -184,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schreier", help="dump the Schreier graph of I_H(g;F)")
     p.add_argument("matrices", nargs="+", metavar="MATRIX")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of text")
-    p.add_argument("--index-cap", type=int, default=DEFAULT_INDEX_CAP)
     p.set_defaults(func=cmd_schreier)
     return parser
 
@@ -194,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NotUnimodular, IndexCapExceeded, OSError,
+    except (InputError, NotUnimodular, OSError,
             json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

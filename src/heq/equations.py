@@ -11,10 +11,11 @@ have torsion, so a nonempty coefficient word can still be trivial in H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .freewords import Word, format_word, free_reduce, invert_word, parse_word
+from .freewords import Word, format_word, parse_word
+from .freewords import substitute  # part of this module's API
 from .psl2 import IDENTITY, ProjMat2
 from .words import AB_ZERO, ABWord, C2xC3, abelianize, decompose, eval_ab
 
@@ -25,19 +26,30 @@ EqWord = Word
 class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
-    Matrices come with their canonical a/b-word decompositions so that
-    images in C2 x C3 are a letter count away.
+    Matrices come with their canonical a/b-word decompositions.  Each signed
+    letter's matrix and image in C2 x C3 are computed once, at construction,
+    so letter and word lookups do no matrix or word arithmetic.
     """
 
     h_mats: tuple[ProjMat2, ...]
     h_words: tuple[ABWord, ...]
     g_mat: ProjMat2
     g_word: ABWord
+    _matrix: dict[int, ProjMat2] = field(init=False, repr=False, compare=False)
+    _image: dict[int, C2xC3] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for mat, word in zip(self.h_mats + (self.g_mat,), self.h_words + (self.g_word,)):
+        matrix: dict[int, ProjMat2] = {}
+        image: dict[int, C2xC3] = {}
+        for let, (mat, word) in enumerate(zip(self.h_mats + (self.g_mat,),
+                                              self.h_words + (self.g_word,)), start=1):
             if eval_ab(word) != mat:
                 raise RuntimeError(f"a/b-word of {mat} does not evaluate to it")
+            matrix[let], matrix[-let] = mat, mat.inv()
+            image[let] = abelianize(word)
+            image[-let] = -image[let]
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_image", image)
 
     @classmethod
     def from_matrices(cls, h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> "HContext":
@@ -57,23 +69,22 @@ class HContext:
         return tuple(f"h{i}" for i in range(1, self.s + 1)) + ("x",)
 
     def letter_matrix(self, let: int) -> ProjMat2:
-        base = self.g_mat if abs(let) == self.x_letter else self.h_mats[abs(let) - 1]
-        return base if let > 0 else base.inv()
-
-    def h_images(self) -> tuple[C2xC3, ...]:
-        return tuple(abelianize(w) for w in self.h_words)
-
-    def g_image(self) -> C2xC3:
-        return abelianize(self.g_word)
+        return self._matrix[let]
 
     def letter_image(self, let: int) -> C2xC3:
-        img = self.g_image() if abs(let) == self.x_letter else self.h_images()[abs(let) - 1]
-        return img if let > 0 else -img
+        return self._image[let]
+
+    def h_images(self) -> tuple[C2xC3, ...]:
+        return tuple(self._image[let] for let in range(1, self.x_letter))
+
+    def g_image(self) -> C2xC3:
+        return self._image[self.x_letter]
 
     def word_image(self, word: EqWord) -> C2xC3:
+        image = self._image
         img = AB_ZERO
         for let in word:
-            img = img + self.letter_image(let)
+            img = img + image[let]
         return img
 
 
@@ -158,23 +169,12 @@ def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
     if isinstance(w, HEquation):
         m = w.coeffs[0][0]
         for sign, (mat, _) in zip(w.signs, w.coeffs[1:]):
-            m = m * (ctx.g_mat if sign > 0 else ctx.g_mat.inv()) * mat
+            m = m * ctx.letter_matrix(sign * ctx.x_letter) * mat
         return m
     m = IDENTITY
     for let in w:
         m = m * ctx.letter_matrix(let)
     return m
-
-
-def substitute(relator: Word, ws: Sequence[EqWord]) -> EqWord:
-    """Replace each abstract letter x_i of the relator by ws[i-1]."""
-    out: list[int] = []
-    for let in relator:
-        if not 1 <= abs(let) <= len(ws):
-            raise IndexError(f"relator letter {let} outside 1..{len(ws)}")
-        part = ws[abs(let) - 1]
-        out.extend(part if let > 0 else invert_word(part))
-    return free_reduce(out)
 
 
 # ---------------------------------------------------------------------------

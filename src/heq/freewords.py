@@ -15,7 +15,7 @@ at import time.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .psl2 import IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, ProjMat2
 from .words import AB_ZERO, ABWord, C2xC3, IMG_A, IMG_B, abelianize, eval_ab
@@ -45,6 +45,17 @@ def free_reduce(letters: Iterable[int]) -> Word:
 
 def invert_word(word: Word) -> Word:
     return tuple(-let for let in reversed(word))
+
+
+def substitute(relator: Word, ws: Sequence[Word]) -> Word:
+    """Replace each abstract letter x_i of the relator by ws[i-1], freely reduced."""
+    out: list[int] = []
+    for let in relator:
+        if not 1 <= abs(let) <= len(ws):
+            raise IndexError(f"relator letter {let} outside 1..{len(ws)}")
+        part = ws[abs(let) - 1]
+        out.extend(part if let > 0 else invert_word(part))
+    return free_reduce(out)
 
 
 def format_word(word: Word, names: tuple[str, ...]) -> str:

@@ -5,9 +5,10 @@ H = <h_1..h_s> and produce equations that normally generate the ideal of
 all equations g satisfies:
 
  1. decompose the inputs into a/b-words and map them to C2 x C3;
- 2. build the Schreier graph of the index-<=6 subgroup of H*<x> consisting
-    of the equations whose value at g lies in the free kernel F (membership
-    is a letterwise image sum, no matrix products);
+ 2. build the Schreier graph of the subgroup of H*<x> consisting of the
+    equations whose value at g lies in the free kernel F; its index is the
+    order of the image of <h_1..h_s, g> in C2 x C3 = PSL2(Z)/F, at most 6
+    (membership is a letterwise image sum, no matrix products);
  3. read the subgroup generators w_1(x)..w_p(x) off the non-tree edges;
  4. evaluate v_i = w_i(g), rewrite each as a free word in {p, q};
  5. present V = <v_1..v_p> on those generators;
@@ -33,7 +34,6 @@ from .equations import (
     parse_eq_word,
     reduce_equation,
     render_equation,
-    substitute,
 )
 from .freewords import (
     FreeWord,
@@ -43,14 +43,12 @@ from .freewords import (
     parse_free_word,
     parse_word,
     pq_to_matrix,
-    Word,
+    substitute,
 )
 from .psl2 import IDENTITY, ProjMat2
 from .schreier import SchreierGraph, build_schreier, subgroup_generators
 from .stallings import PresentationOnGenerators, subgroup_presentation
 from .words import AB_ZERO, format_ab_word, parse_ab_word, quotient_subgroup
-
-DEFAULT_INDEX_CAP = 6
 
 VERDICT_ALGEBRAIC = "algebraic"
 VERDICT_TRANSCENDENTAL = "transcendental"
@@ -68,7 +66,6 @@ class AnalysisReport:
 
     ctx: HContext
     index: int
-    schreier: SchreierGraph
     w_words: tuple[EqWord, ...]
     w_equations: tuple[HEquation, ...]
     nontrivial_indices: tuple[int, ...]
@@ -138,42 +135,32 @@ class AnalysisReport:
         )
         ideal_words = tuple(parse_eq_word(e["word"], ctx) for e in data["equations"])
         ideal_equations = tuple(reduce_equation(w, ctx) for w in ideal_words)
-        # the Schreier graph is not serialized; rebuild it from the context
-        graph = equation_schreier_graph(ctx, max(data["index"], 1))
-        return cls(ctx, data["index"], graph, w_words, w_equations, nontrivial,
+        return cls(ctx, data["index"], w_words, w_equations, nontrivial,
                    v_words, v_matrices, presentation, ideal_words,
                    ideal_equations, data["verdict"])
 
 
-def equation_schreier_graph(ctx: HContext, index_cap: int) -> SchreierGraph:
+def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
     """Coset graph of the equations whose value at g lies in the kernel F.
 
-    The membership oracle sums letter images in C2 x C3; no matrices are
-    multiplied while the graph grows.
+    Its index is the order of the image of <h_1..h_s, g> in C2 x C3, which
+    also caps the search.  Membership is the letterwise image sum
+    ctx.word_image; no matrices are multiplied while the graph grows.
     """
-    images = list(ctx.h_images()) + [ctx.g_image()]
-
-    def oracle(word: Word) -> bool:
-        img = AB_ZERO
-        for let in word:
-            step = images[abs(let) - 1]
-            img = img + (step if let > 0 else -step)
-        return img == AB_ZERO
-
-    return build_schreier(ctx.letter_names, oracle, index_cap)
+    order = len(quotient_subgroup(ctx.h_images() + (ctx.g_image(),)))
+    graph = build_schreier(ctx.letter_names,
+                           lambda word: ctx.word_image(word) == AB_ZERO, order)
+    if graph.index != order:
+        raise RuntimeError(f"Schreier index {graph.index} != quotient order {order}")
+    return graph
 
 
-def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2,
-            index_cap: int = DEFAULT_INDEX_CAP) -> AnalysisReport:
+def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     """Run the full pipeline; see the module docstring for the steps."""
     ctx = HContext.from_matrices(h_mats, g_mat)
 
-    graph = equation_schreier_graph(ctx, index_cap)
+    graph = equation_schreier_graph(ctx)
     index = graph.index
-    expected = len(quotient_subgroup(list(ctx.h_images()) + [ctx.g_image()]))
-    if index != expected:
-        raise RuntimeError(f"Schreier index {index} != quotient order {expected}")
-
     w_words = subgroup_generators(graph)
     w_equations = tuple(reduce_equation(w, ctx) for w in w_words)
     expected_count = len(ctx.letter_names) * index - (index - 1)
@@ -207,7 +194,7 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2,
     verdict = (VERDICT_ALGEBRAIC
                if any(not eq.is_trivial() for eq in ideal_equations)
                else VERDICT_TRANSCENDENTAL)
-    return AnalysisReport(ctx, index, graph, w_words, w_equations, nontrivial,
+    return AnalysisReport(ctx, index, w_words, w_equations, nontrivial,
                           tuple(v_words), tuple(v_matrices), presentation,
                           ideal_words, ideal_equations, verdict)
 
@@ -234,7 +221,12 @@ def verify(report: AnalysisReport) -> VerificationResult:
     (b) every relator applied to the v-words freely reduces to nothing;
     (c) the v-words match the evaluated generators as matrices;
     (d) every generator's image in C2 x C3 is trivial;
-    (e) the verdict agrees with the triviality of the ideal generators.
+    (e) the verdict agrees with the triviality of the ideal generators;
+    (f) the index and the generators are those of the Schreier graph
+        rebuilt from the context;
+    (g) the presentation has one generator per nontrivial generator and
+        #nontrivial - rank relators (the rank is the report's own), and the
+        ideal words are its relators applied to the nontrivial generators.
     """
     ctx = report.ctx
     checks: list[tuple[str, bool, str]] = []
@@ -269,5 +261,23 @@ def verify(report: AnalysisReport) -> VerificationResult:
     expected = VERDICT_ALGEBRAIC if algebraic else VERDICT_TRANSCENDENTAL
     checks.append(("verdict is consistent", report.verdict == expected,
                    f"verdict {report.verdict!r}, recomputed {expected!r}"))
+
+    graph = equation_schreier_graph(ctx)
+    checks.append(("index is the Schreier index", report.index == graph.index,
+                   f"index {report.index}, rebuilt {graph.index}"))
+    checks.append(("generators are the Schreier generators",
+                   report.w_words == subgroup_generators(graph),
+                   f"{len(report.w_words)} generators"))
+
+    pres = report.presentation
+    ws = [report.w_words[i] for i in report.nontrivial_indices]
+    fits = pres.generator_count == len(ws)
+    checks.append(("relator count is #nontrivial - rank",
+                   fits and len(pres.relators) == len(ws) - pres.rank,
+                   f"{len(pres.relators)} relators on {pres.generator_count} "
+                   f"generators, {len(ws)} nontrivial, rank {pres.rank}"))
+    ok = fits and report.ideal_words == tuple(substitute(r, ws) for r in pres.relators)
+    checks.append(("ideal words are the substituted relators", ok,
+                   f"{len(report.ideal_words)} ideal words"))
 
     return VerificationResult(tuple(checks))

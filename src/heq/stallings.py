@@ -46,6 +46,7 @@ from .freewords import (
     free_reduce,
     invert_word,
     PQ_NAMES,
+    substitute,
 )
 
 NUM_LABELS = 2  # p, q
@@ -193,16 +194,6 @@ class StallingsAutomaton:
             e = self.edges[i]
             words.append(free_reduce(path[e.src] + (e.label,) + invert_word(path[e.dst])))
         return tuple(words)
-
-    def is_folded(self) -> bool:
-        seen_out: set[tuple[int, int]] = set()
-        seen_in: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if (e.src, e.label) in seen_out or (e.dst, e.label) in seen_in:
-                return False
-            seen_out.add((e.src, e.label))
-            seen_in.add((e.dst, e.label))
-        return True
 
     # -- canonical form and dump -------------------------------------------
 
@@ -499,10 +490,6 @@ def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
         raise RuntimeError(
             f"relator count {len(relators)} != {len(gens)} - rank {rank}")
     for rel in relators:
-        value: list[int] = []
-        for let in rel:
-            part = gens[abs(let) - 1]
-            value.extend(part if let > 0 else invert_word(part))
-        if free_reduce(value):
+        if substitute(rel, gens):
             raise RuntimeError("relator does not evaluate to the identity")
     return PresentationOnGenerators(len(gens), rank, aut.basis_words(), tuple(relators))

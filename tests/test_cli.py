@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from heq.cli import main, parse_matrix
 from heq.psl2 import ProjMat2
@@ -82,6 +83,36 @@ def test_verify_forged_context_fails_cleanly(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _forge_index(data):
+    data["index"] = 1
+
+
+def _forge_swapped_generators(data):
+    # entry 2 is the trivial h2^2, so the nontrivial generators keep their order
+    gens = data["generators"]
+    gens[1], gens[2] = gens[2], gens[1]
+
+
+def _forge_false_verdict(data):
+    data["presentation"]["relators"] = []
+    data["equations"] = []
+    data["verdict"] = "transcendental"
+
+
+@pytest.mark.parametrize("forge", [_forge_index, _forge_swapped_generators,
+                                   _forge_false_verdict])
+def test_verify_rejects_forged_report(capsys, tmp_path, forge):
+    code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
+    data = json.loads(out)
+    forge(data)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "FAIL" in out
+    assert "Traceback" not in err
+
+
 def test_input_errors_exit_two(capsys):
     code, _, err = run(capsys, "analyze", "[[1,2],[3,4]]")
     assert code == 2 and "determinant" in err
@@ -93,11 +124,6 @@ def test_input_errors_exit_two(capsys):
     assert code == 2 and "integer entries" in err
     code, _, err = run(capsys, "verify", "/nonexistent/report.json")
     assert code == 2
-
-
-def test_index_cap_error_exit_two(capsys):
-    code, _, err = run(capsys, "analyze", H1, H2, G44, "--index-cap", "2")
-    assert code == 2 and "cosets" in err
 
 
 def test_oracle_command(capsys):

@@ -2,7 +2,6 @@ import json
 from collections import Counter
 from dataclasses import replace
 
-import pytest
 
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import evaluate, parse_eq_word, reduce_equation
@@ -14,7 +13,6 @@ from heq.pipeline import (
     analyze,
     verify,
 )
-from heq.schreier import IndexCapExceeded
 from heq.words import quotient_subgroup
 
 from conftest import random_matrix
@@ -132,11 +130,6 @@ def test_double_coset_stability(h1, h2, rng):
         hb = h1 if rng.random() < 0.5 else h2
         moved = analyze([h1, h2], ha * g * hb)
         assert base.verdict == moved.verdict
-
-
-def test_index_cap_propagates(h1, h2):
-    with pytest.raises(IndexCapExceeded):
-        analyze([h1, h2], ProjMat2(1, 0, -2, 1), index_cap=3)
 
 
 def test_json_round_trip(h1, h2):
