@@ -39,7 +39,7 @@ from .pipeline import (
     verify,
 )
 from .psl2 import IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, order
-from .schreier import IndexCapExceeded, SchreierGraph, build_schreier, coset_of, subgroup_generators
+from .schreier import SchreierGraph, build_schreier, coset_of, subgroup_generators
 from .stallings import (
     FoldingLog,
     PresentationOnGenerators,
@@ -73,7 +73,6 @@ __all__ = [
     "HContext",
     "HEquation",
     "IDENTITY",
-    "IndexCapExceeded",
     "MAT_A",
     "MAT_B",
     "MAT_P",

@@ -134,33 +134,31 @@ class HEquation:
 
 
 def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
-    """Normal form of a raw equation word in H*<x>."""
+    """Normal form of a raw equation word in H*<x>.
+
+    One left-to-right pass: an x^e reached while the current coefficient is
+    trivial and the previous x had exponent -e cancels that x, and the
+    coefficient before it merges into the current one.
+    """
     x = ctx.x_letter
     coeffs: list[tuple[ProjMat2, Word]] = []
     signs: list[int] = []
     cur_mat, cur_prov = IDENTITY, ()
     for let in word:
         if abs(let) == x:
-            coeffs.append((cur_mat, cur_prov))
-            signs.append(1 if let > 0 else -1)
-            cur_mat, cur_prov = IDENTITY, ()
+            sign = 1 if let > 0 else -1
+            if signs and signs[-1] == -sign and cur_mat == IDENTITY:
+                signs.pop()
+                prev_mat, prev_prov = coeffs.pop()
+                cur_mat, cur_prov = prev_mat * cur_mat, prev_prov + cur_prov
+            else:
+                coeffs.append((cur_mat, cur_prov))
+                signs.append(sign)
+                cur_mat, cur_prov = IDENTITY, ()
         else:
             cur_mat = cur_mat * ctx.letter_matrix(let)
             cur_prov = cur_prov + (let,)
     coeffs.append((cur_mat, cur_prov))
-
-    # cancel x^e 1 x^-e pairs until the reducedness invariant holds
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(signs)):
-            if coeffs[i][0] == IDENTITY and signs[i - 1] == -signs[i]:
-                merged_mat = coeffs[i - 1][0] * coeffs[i][0] * coeffs[i + 1][0]
-                merged_prov = coeffs[i - 1][1] + coeffs[i][1] + coeffs[i + 1][1]
-                coeffs[i - 1:i + 2] = [(merged_mat, merged_prov)]
-                del signs[i - 1:i + 1]
-                changed = True
-                break
     return HEquation(coeffs, signs)
 
 

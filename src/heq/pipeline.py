@@ -6,9 +6,11 @@ all equations g satisfies:
 
  1. decompose the inputs into a/b-words and map them to C2 x C3;
  2. build the Schreier graph of the subgroup of H*<x> consisting of the
-    equations whose value at g lies in the free kernel F; its index is the
-    order of the image of <h_1..h_s, g> in C2 x C3 = PSL2(Z)/F, at most 6
-    (membership is a letterwise image sum, no matrix products);
+    equations whose value at g lies in the free kernel F.  PSL2(Z)/F is
+    C2 x C3, so this subgroup is the kernel of the letterwise map
+    H*<x> -> C2 x C3 and its graph is the Cayley graph of the image of
+    <h_1..h_s, g> on the letter images: at most 6 vertices, no matrix
+    products;
  3. read the subgroup generators w_1(x)..w_p(x) off the non-tree edges;
  4. evaluate v_i = w_i(g), rewrite each as a free word in {p, q};
  5. present V = <v_1..v_p> on those generators;
@@ -143,13 +145,13 @@ class AnalysisReport:
 def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
     """Coset graph of the equations whose value at g lies in the kernel F.
 
-    Its index is the order of the image of <h_1..h_s, g> in C2 x C3, which
-    also caps the search.  Membership is the letterwise image sum
-    ctx.word_image; no matrices are multiplied while the graph grows.
+    It is built from the letter images in C2 x C3 alone; its index is
+    re-checked against the order of the image of <h_1..h_s, g> computed by
+    quotient_subgroup.
     """
-    order = len(quotient_subgroup(ctx.h_images() + (ctx.g_image(),)))
-    graph = build_schreier(ctx.letter_names,
-                           lambda word: ctx.word_image(word) == AB_ZERO, order)
+    images = [ctx.letter_image(let) for let in range(1, ctx.x_letter + 1)]
+    graph = build_schreier(ctx.letter_names, images)
+    order = len(quotient_subgroup(images))
     if graph.index != order:
         raise RuntimeError(f"Schreier index {graph.index} != quotient order {order}")
     return graph
@@ -218,7 +220,8 @@ def verify(report: AnalysisReport) -> VerificationResult:
     """Re-check a report from its raw words, independently of how it was made.
 
     (a) every ideal generator evaluates to the identity at g;
-    (b) every relator applied to the v-words freely reduces to nothing;
+    (b) every relator uses only letters x_1..x_n for the n v-words and,
+        applied to them, freely reduces to nothing;
     (c) the v-words match the evaluated generators as matrices;
     (d) every generator's image in C2 x C3 is trivial;
     (e) the verdict agrees with the triviality of the ideal generators;
@@ -237,8 +240,10 @@ def verify(report: AnalysisReport) -> VerificationResult:
                    f"{len(report.ideal_words)} equations" if not bad
                    else f"equations {bad} fail"))
 
+    nv = len(report.v_words)
     bad = [i for i, rel in enumerate(report.presentation.relators)
-           if substitute(rel, report.v_words) != ()]
+           if any(not 1 <= abs(let) <= nv for let in rel)
+           or substitute(rel, report.v_words) != ()]
     checks.append(("relators kill the v-words", not bad,
                    f"{len(report.presentation.relators)} relators" if not bad
                    else f"relators {bad} fail"))

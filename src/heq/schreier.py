@@ -1,25 +1,20 @@
-"""Schreier coset graphs built from a membership oracle alone.
+"""Schreier graphs of kernels of maps to C2 x C3.
 
-Given a finite alphabet generating a group and a predicate deciding
-membership in a finite-index subgroup, grow the ball around the subgroup
-coset until the graph is complete: a new word u*l lands in an existing
-coset v exactly when oracle(u l rep(v)^-1) holds.  The index_cap converts
-the finite-index promise into a checked runtime error.
-
-Vertices are numbered in BFS discovery order; representatives are the BFS
-tree words, hence a prefix-closed Schreier transversal.
+Letter i of the alphabet is sent to images[i-1] in the abelian group
+C2 x C3; the graph is that of the kernel of the induced map, i.e. the
+Cayley graph of the image group on the letter images.  Vertices are image
+elements, numbered in BFS discovery order (vertices, then letters, then
++/- signs); representatives are the BFS tree words, hence a prefix-closed
+Schreier transversal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .freewords import Word, format_word, free_reduce, invert_word
-
-
-class IndexCapExceeded(RuntimeError):
-    """More cosets appeared than the promised index bound."""
+from .words import AB_ZERO, C2xC3
 
 
 @dataclass(frozen=True)
@@ -41,45 +36,35 @@ class SchreierGraph:
         return len(self.reps)
 
 
-def build_schreier(letters: Sequence[str], oracle: Callable[[Word], bool],
-                   index_cap: int) -> SchreierGraph:
-    """Grow the Schreier graph of the subgroup decided by the oracle.
+def build_schreier(letters: Sequence[str], images: Sequence[C2xC3]) -> SchreierGraph:
+    """Schreier graph of the kernel of the map sending letter i to images[i-1].
 
-    The oracle must be the membership predicate of a subgroup of index at
-    most index_cap in the group generated by the alphabet; IndexCapExceeded
-    is raised when that promise fails.
+    The edge for signed letter l leaves the vertex of element e for the
+    vertex of e + image(l) (e - image(|l|) when l < 0); an element first
+    reached that way becomes a new vertex.
     """
     letters = tuple(letters)
     if not letters or len(set(letters)) != len(letters):
         raise ValueError("alphabet must be nonempty with distinct letters")
-    nletters = len(letters)
+    if len(images) != len(letters):
+        raise ValueError(f"{len(images)} images for {len(letters)} letters")
+    elems: list[C2xC3] = [AB_ZERO]
+    vertex_of = {AB_ZERO: 0}
     reps: list[Word] = [()]
     trans: dict[tuple[int, int], int] = {}
     tree: set[tuple[int, int]] = set()
     v = 0
     while v < len(reps):
-        for letter in range(1, nletters + 1):
-            for sl in (letter, -letter):
-                if (v, sl) in trans:
-                    continue
-                word = free_reduce(reps[v] + (sl,))
-                target = None
-                for u, rep_u in enumerate(reps):
-                    if oracle(free_reduce(word + invert_word(rep_u))):
-                        target = u
-                        break
+        for letter, image in enumerate(images, start=1):
+            for sl, step in ((letter, image), (-letter, -image)):
+                elem = elems[v] + step
+                target = vertex_of.get(elem)
                 if target is None:
-                    if len(reps) >= index_cap:
-                        raise IndexCapExceeded(
-                            f"more than {index_cap} cosets found")
-                    reps.append(word)
-                    target = len(reps) - 1
+                    target = vertex_of[elem] = len(reps)
+                    elems.append(elem)
+                    reps.append(free_reduce(reps[v] + (sl,)))
                     tree.add((v, letter) if sl > 0 else (target, letter))
-                back = trans.get((target, -sl))
-                if back is not None and back != v:
-                    raise RuntimeError("oracle is not a subgroup membership predicate")
                 trans[(v, sl)] = target
-                trans[(target, -sl)] = v
         v += 1
     return SchreierGraph(letters, tuple(reps), trans, frozenset(tree))
 

@@ -121,18 +121,8 @@ class StallingsAutomaton:
         return adj
 
     def bfs_order(self) -> list[int]:
-        adj = self._adjacency()
-        order = [self.base]
-        seen = {self.base}
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for _, _, _, other in adj[v]:
-                if other not in seen:
-                    seen.add(other)
-                    order.append(other)
-        return order
+        """Vertices in the discovery order of spanning_tree's search."""
+        return list(self.spanning_tree()[1])
 
     def trace(self, word: Word) -> tuple[int, Word] | None:
         """Follow a word from the basepoint.
@@ -166,7 +156,8 @@ class StallingsAutomaton:
     # -- spanning tree and basis -------------------------------------------
 
     def spanning_tree(self) -> tuple[set[int], dict[int, Word]]:
-        """BFS tree: (set of tree edge indices, vertex -> label path from base)."""
+        """BFS tree: (set of tree edge indices, vertex -> label path from
+        base), the paths keyed in discovery order."""
         adj = self._adjacency()
         tree: set[int] = set()
         path: dict[int, Word] = {self.base: ()}
@@ -185,7 +176,7 @@ class StallingsAutomaton:
     def basis_words(self) -> tuple[FreeWord, ...]:
         """One loop word per non-tree edge, in deterministic order."""
         tree, path = self.spanning_tree()
-        bfs_index = {v: i for i, v in enumerate(self.bfs_order())}
+        bfs_index = {v: i for i, v in enumerate(path)}
         nontree = [i for i in range(len(self.edges)) if i not in tree]
         nontree.sort(key=lambda i: (bfs_index[self.edges[i].src], self.edges[i].label,
                                     bfs_index[self.edges[i].dst], i))

@@ -21,7 +21,8 @@ _SYLLABLE_MATS = {"a": MAT_A, "b": MAT_B, "b2": _MAT_B2}
 # Translation matrix T = b*a = [[1,1],[0,1]]; used by decompose().  The
 # identity T = ba is re-verified at import time right below.
 _MAT_T = ProjMat2(1, 1, 0, 1)
-assert MAT_B * MAT_A == _MAT_T
+if MAT_B * MAT_A != _MAT_T:
+    raise RuntimeError("b*a is not the translation [[1,1],[0,1]]")
 _MAT_S_INV = MAT_A.inv()
 
 

@@ -198,7 +198,7 @@ def test_criterion_6_kernel_graph():
             img = img + (images[abs(let) - 1] if let > 0 else -images[abs(let) - 1])
         return img
 
-    graph = build_schreier(("a", "b"), lambda w: image_of(w) == AB_ZERO, 10)
+    graph = build_schreier(("a", "b"), images)
     assert graph.index == 6
     vertex_image = {v: image_of(rep) for v, rep in enumerate(graph.reps)}
     assert vertex_image[0] == AB_ZERO

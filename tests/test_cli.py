@@ -99,8 +99,15 @@ def _forge_false_verdict(data):
     data["verdict"] = "transcendental"
 
 
+def _forge_extra_relator_letter(data):
+    # a 13th presentation generator with no v-word behind it
+    pres = data["presentation"]
+    pres["generators"] = 13
+    pres["relators"][0] += " x13"
+
+
 @pytest.mark.parametrize("forge", [_forge_index, _forge_swapped_generators,
-                                   _forge_false_verdict])
+                                   _forge_false_verdict, _forge_extra_relator_letter])
 def test_verify_rejects_forged_report(capsys, tmp_path, forge):
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     data = json.loads(out)

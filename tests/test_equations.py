@@ -1,8 +1,9 @@
 import pytest
 
-from heq.psl2 import IDENTITY, ProjMat2
+from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import (
     HContext,
+    HEquation,
     evaluate,
     format_eq_word,
     parse_eq_word,
@@ -55,6 +56,53 @@ def test_reduce_cascades_through_torsion(ctx_43):
     # x h2 h2 x^-1 collapses entirely: trivial coefficient between x and x^-1
     eq = reduce_equation(parse_eq_word("x h2 h2 x^-1", ctx_43), ctx_43)
     assert eq.is_trivial()
+
+
+def reduce_equation_reference(word, ctx):
+    """The restart-after-every-cancellation reduction that the one-pass
+    reduce_equation replaced, kept as the reference."""
+    x = ctx.x_letter
+    coeffs = []
+    signs = []
+    cur_mat, cur_prov = IDENTITY, ()
+    for let in word:
+        if abs(let) == x:
+            coeffs.append((cur_mat, cur_prov))
+            signs.append(1 if let > 0 else -1)
+            cur_mat, cur_prov = IDENTITY, ()
+        else:
+            cur_mat = cur_mat * ctx.letter_matrix(let)
+            cur_prov = cur_prov + (let,)
+    coeffs.append((cur_mat, cur_prov))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(signs)):
+            if coeffs[i][0] == IDENTITY and signs[i - 1] == -signs[i]:
+                merged_mat = coeffs[i - 1][0] * coeffs[i][0] * coeffs[i + 1][0]
+                merged_prov = coeffs[i - 1][1] + coeffs[i][1] + coeffs[i + 1][1]
+                coeffs[i - 1:i + 2] = [(merged_mat, merged_prov)]
+                del signs[i - 1:i + 1]
+                changed = True
+                break
+    return HEquation(coeffs, signs)
+
+
+def test_one_pass_reduction_matches_reference(ctx_43, ctx_44, h1, rng):
+    # torsion coefficients (h2 of order 2, b of order 3, an identity h)
+    # make trivial coefficients, and hence cascading cancellations, common
+    contexts = [ctx_43, ctx_44,
+                HContext.from_matrices([MAT_B, MAT_A], MAT_B),
+                HContext.from_matrices([IDENTITY, h1], ProjMat2(5, 3, 3, 2))]
+    for ctx in contexts:
+        x = ctx.x_letter
+        letters = [x, -x, x, -x] + [s * i for i in range(1, x) for s in (1, -1)]
+        for _ in range(1500):
+            word = tuple(rng.choice(letters) for _ in range(rng.randrange(25)))
+            eq = reduce_equation(word, ctx)
+            ref = reduce_equation_reference(word, ctx)
+            assert eq.coeffs == ref.coeffs and eq.signs == ref.signs, word
+            assert render_equation(eq, ctx) == render_equation(ref, ctx)
 
 
 def test_reduced_invariant_holds(ctx_43, rng):

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
-from heq.freewords import Word, free_reduce, format_word
+from heq.freewords import Word, free_reduce, format_word, invert_word
 from heq.schreier import (
-    IndexCapExceeded,
+    SchreierGraph,
     build_schreier,
     coset_of,
     subgroup_generators,
@@ -24,6 +26,40 @@ def image_oracle(images):
     return oracle
 
 
+def oracle_schreier_reference(letters, oracle, index_cap):
+    """The coset-probing builder that build_schreier replaced, kept as the
+    reference: u*l lands in the existing coset v iff oracle(u l rep(v)^-1)."""
+    letters = tuple(letters)
+    reps: list[Word] = [()]
+    trans: dict[tuple[int, int], int] = {}
+    tree: set[tuple[int, int]] = set()
+    v = 0
+    while v < len(reps):
+        for letter in range(1, len(letters) + 1):
+            for sl in (letter, -letter):
+                if (v, sl) in trans:
+                    continue
+                word = free_reduce(reps[v] + (sl,))
+                target = None
+                for u, rep_u in enumerate(reps):
+                    if oracle(free_reduce(word + invert_word(rep_u))):
+                        target = u
+                        break
+                if target is None:
+                    if len(reps) >= index_cap:
+                        raise RuntimeError(f"more than {index_cap} cosets found")
+                    reps.append(word)
+                    target = len(reps) - 1
+                    tree.add((v, letter) if sl > 0 else (target, letter))
+                back = trans.get((target, -sl))
+                if back is not None and back != v:
+                    raise RuntimeError("oracle is not a subgroup membership predicate")
+                trans[(v, sl)] = target
+                trans[(target, -sl)] = v
+        v += 1
+    return SchreierGraph(letters, tuple(reps), trans, frozenset(tree))
+
+
 AB_IMAGES = [C2xC3(1, 0), C2xC3(0, 1)]
 # h1, h2, x letter images for the two worked examples
 IMAGES_43 = [C2xC3(0, 0), C2xC3(1, 0), C2xC3(0, 0)]
@@ -39,7 +75,7 @@ def word_image(images, word):
 
 
 def test_kernel_graph_is_cayley_graph_of_quotient():
-    graph = build_schreier(("a", "b"), image_oracle(AB_IMAGES), index_cap=10)
+    graph = build_schreier(("a", "b"), AB_IMAGES)
     assert graph.index == 6
     # labeled based-graph isomorphism with the Cayley graph of C2 x C3:
     # vertices biject with the quotient via the representative images, the
@@ -54,7 +90,7 @@ def test_kernel_graph_is_cayley_graph_of_quotient():
 
 
 def test_first_example_graph():
-    graph = build_schreier(("h1", "h2", "x"), image_oracle(IMAGES_43), 6)
+    graph = build_schreier(("h1", "h2", "x"), IMAGES_43)
     assert graph.index == 2
     words = subgroup_generators(graph)
     names = tuple(format_word(w, graph.letters) for w in words)
@@ -63,7 +99,7 @@ def test_first_example_graph():
 
 
 def test_second_example_graph():
-    graph = build_schreier(("h1", "h2", "x"), image_oracle(IMAGES_44), 6)
+    graph = build_schreier(("h1", "h2", "x"), IMAGES_44)
     assert graph.index == 6
     positive_edges = [(v, l) for v in range(6) for l in (1, 2, 3)]
     assert len(positive_edges) == 18
@@ -74,7 +110,7 @@ def test_second_example_graph():
 
 
 def test_bouquet_single_letter():
-    graph = build_schreier(("a",), lambda w: True, 3)
+    graph = build_schreier(("a",), [AB_ZERO])
     assert graph.index == 1
     assert subgroup_generators(graph) == ((1,),)
 
@@ -83,13 +119,13 @@ def test_generators_satisfy_oracle():
     for images in (AB_IMAGES, IMAGES_43, IMAGES_44):
         letters = tuple(f"l{i}" for i in range(1, len(images) + 1))
         oracle = image_oracle(images)
-        graph = build_schreier(letters, oracle, 6)
+        graph = build_schreier(letters, images)
         for w in subgroup_generators(graph):
             assert oracle(w)
 
 
 def test_regularity_and_inverse_transitions():
-    graph = build_schreier(("h1", "h2", "x"), image_oracle(IMAGES_44), 6)
+    graph = build_schreier(("h1", "h2", "x"), IMAGES_44)
     for v in range(graph.index):
         for letter in (1, 2, 3):
             for sl in (letter, -letter):
@@ -99,7 +135,7 @@ def test_regularity_and_inverse_transitions():
 
 
 def test_coset_of_examples(rng):
-    graph = build_schreier(("a", "b"), image_oracle(AB_IMAGES), 10)
+    graph = build_schreier(("a", "b"), AB_IMAGES)
     assert coset_of(graph, ()) == 0
     # the coset of ab is the vertex whose representative has image (1,1)
     v = coset_of(graph, (1, 2))
@@ -111,28 +147,38 @@ def test_coset_of_examples(rng):
 
 
 def test_tree_reps_are_prefix_closed():
-    graph = build_schreier(("h1", "h2", "x"), image_oracle(IMAGES_44), 6)
+    graph = build_schreier(("h1", "h2", "x"), IMAGES_44)
     reps = set(graph.reps)
     for rep in graph.reps:
         assert rep[:-1] in reps
 
 
-def test_index_cap_exceeded():
-    with pytest.raises(IndexCapExceeded):
-        build_schreier(("h1", "h2", "x"), image_oracle(IMAGES_44), 5)
-    with pytest.raises(IndexCapExceeded):
-        build_schreier(("a", "b"), image_oracle(AB_IMAGES), 3)
-
-
 def test_bad_alphabet_rejected():
     with pytest.raises(ValueError):
-        build_schreier((), lambda w: True, 5)
+        build_schreier((), ())
     with pytest.raises(ValueError):
-        build_schreier(("a", "a"), lambda w: True, 5)
+        build_schreier(("a", "a"), AB_IMAGES)
+    with pytest.raises(ValueError):
+        build_schreier(("h1", "h2", "x"), AB_IMAGES)
+
+
+def test_matches_oracle_reference_on_every_small_image_tuple():
+    # every tuple of 1-4 letter images over C2 x C3: 6 + 36 + 216 + 1296
+    group = [C2xC3(c2, c3) for c2 in range(2) for c3 in range(3)]
+    count = 0
+    for n in range(1, 5):
+        letters = tuple(f"l{i}" for i in range(1, n + 1))
+        for images in itertools.product(group, repeat=n):
+            graph = build_schreier(letters, images)
+            ref = oracle_schreier_reference(letters, image_oracle(images), 6)
+            assert graph == ref, images
+            assert subgroup_generators(graph) == subgroup_generators(ref), images
+            count += 1
+    assert count == 1554
 
 
 def test_dot_output():
-    graph = build_schreier(("h1", "h2", "x"), image_oracle(IMAGES_43), 6)
+    graph = build_schreier(("h1", "h2", "x"), IMAGES_43)
     dot = to_dot(graph)
     assert dot.startswith("digraph")
     assert "style=bold" in dot

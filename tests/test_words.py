@@ -84,6 +84,27 @@ def test_decompose_self_check_survives_optimize():
     assert out.stdout.strip() == "RuntimeError"
 
 
+_WRONG_TRANSLATION = """
+import importlib
+import heq.psl2
+import heq.words
+if __debug__:
+    raise SystemExit("not run under -O")
+heq.psl2.MAT_A = heq.psl2.MAT_B
+try:
+    importlib.reload(heq.words)
+except RuntimeError:
+    print("RuntimeError")
+"""
+
+
+def test_import_self_check_survives_optimize():
+    # the import-time check that b*a is the translation T
+    out = run_python(_WRONG_TRANSLATION, "-O")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "RuntimeError"
+
+
 def test_abelianize_examples():
     assert abelianize(parse_ab_word("a b2 a b")) == C2xC3(0, 0)
     assert abelianize(parse_ab_word("b a b a b2 a b2")) == C2xC3(1, 0)
