@@ -106,6 +106,9 @@ def cmd_verify(args) -> int:
         # the report's words do not evaluate to its matrices
         print(f"FAIL report context: {exc}")
         return 1
+    except TypeError as exc:
+        # a value of the wrong JSON type: an input error, like a missing key
+        raise InputError(f"report has the wrong shape: {exc}") from None
     result = verify(report)
     print(result.summary())
     return 0 if result.ok else 1

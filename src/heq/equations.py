@@ -7,6 +7,10 @@ coefficients are multiplied out as matrices, with x x^-1 pairs flanking a
 trivial coefficient cancelled away.  Coefficient triviality is always
 decided by matrix equality with the identity, never by the letters: H may
 have torsion, so a nonempty coefficient word can still be trivial in H.
+
+Word values are multiplied out by psl2._product over the context's table
+of letter entry 4-tuples: a word is a product of determinant-1 matrices, so
+its value needs no determinant check, only one sign normalization.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 
 from .freewords import Word, format_word, parse_word
 from .freewords import substitute  # part of this module's API
-from .psl2 import IDENTITY, ProjMat2
+from .psl2 import IDENTITY, Entries, ProjMat2, _product
 from .words import AB_ZERO, ABWord, C2xC3, abelianize, decompose, eval_ab
 
 EqWord = Word
@@ -27,8 +31,8 @@ class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
     Matrices come with their canonical a/b-word decompositions.  Each signed
-    letter's matrix and image in C2 x C3 are computed once, at construction,
-    so letter and word lookups do no matrix or word arithmetic.
+    letter's matrix, entry 4-tuple and image in C2 x C3 are computed once, at
+    construction, so letter and word lookups do no matrix or word arithmetic.
     """
 
     h_mats: tuple[ProjMat2, ...]
@@ -36,6 +40,7 @@ class HContext:
     g_mat: ProjMat2
     g_word: ABWord
     _matrix: dict[int, ProjMat2] = field(init=False, repr=False, compare=False)
+    _entries: dict[int, Entries] = field(init=False, repr=False, compare=False)
     _image: dict[int, C2xC3] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -49,6 +54,7 @@ class HContext:
             image[let] = abelianize(word)
             image[-let] = -image[let]
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_entries", {let: m.entries() for let, m in matrix.items()})
         object.__setattr__(self, "_image", image)
 
     @classmethod
@@ -136,43 +142,57 @@ class HEquation:
 def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     """Normal form of a raw equation word in H*<x>.
 
-    One left-to-right pass: an x^e reached while the current coefficient is
-    trivial and the previous x had exponent -e cancels that x, and the
-    coefficient before it merges into the current one.
+    One left-to-right pass over the word cut at its x letters: an x^e
+    reached while the current coefficient is trivial and the previous x had
+    exponent -e cancels that x, and the coefficient before it merges into
+    the current one.  A coefficient's provenance is the slice of the word it
+    spans, less the x letters cancelled inside it.
     """
+    word = tuple(word)
     x = ctx.x_letter
+    entry = ctx._entries.__getitem__
     coeffs: list[tuple[ProjMat2, Word]] = []
     signs: list[int] = []
-    cur_mat, cur_prov = IDENTITY, ()
-    for let in word:
-        if abs(let) == x:
-            sign = 1 if let > 0 else -1
-            if signs and signs[-1] == -sign and cur_mat == IDENTITY:
-                signs.pop()
-                prev_mat, prev_prov = coeffs.pop()
-                cur_mat, cur_prov = prev_mat * cur_mat, prev_prov + cur_prov
-            else:
-                coeffs.append((cur_mat, cur_prov))
-                signs.append(sign)
-                cur_mat, cur_prov = IDENTITY, ()
+    starts: list[int] = []  # where each coefficient in coeffs begins in word
+    carry: ProjMat2 | None = None  # a merged coefficient's matrix so far
+    start = seg = 0  # the current coefficient and its last segment begin here
+    for end in [i for i, let in enumerate(word) if let == x or let == -x] + [len(word)]:
+        cur = _product(map(entry, word[seg:end]))
+        if carry is not None:
+            cur = carry * cur
+        if end == len(word):
+            break
+        sign = 1 if word[end] > 0 else -1
+        if signs and signs[-1] == -sign and cur == IDENTITY:
+            signs.pop()
+            carry = coeffs.pop()[0]
+            start = starts.pop()
         else:
-            cur_mat = cur_mat * ctx.letter_matrix(let)
-            cur_prov = cur_prov + (let,)
-    coeffs.append((cur_mat, cur_prov))
+            coeffs.append((cur, _provenance(word[start:end], x)))
+            starts.append(start)
+            signs.append(sign)
+            carry, start = None, end + 1
+        seg = end + 1
+    coeffs.append((cur, _provenance(word[start:], x)))
     return HEquation(coeffs, signs)
+
+
+def _provenance(part: EqWord, x: int) -> Word:
+    """The h-letters of a coefficient's slice: a merged coefficient's slice
+    still holds the x letters that cancelled inside it."""
+    if x not in part and -x not in part:
+        return part
+    return tuple(let for let in part if let != x and let != -x)
 
 
 def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
     """The matrix w(g): image under the evaluation homomorphism x -> g."""
     if isinstance(w, HEquation):
-        m = w.coeffs[0][0]
+        factors = [w.coeffs[0][0].entries()]
         for sign, (mat, _) in zip(w.signs, w.coeffs[1:]):
-            m = m * ctx.letter_matrix(sign * ctx.x_letter) * mat
-        return m
-    m = IDENTITY
-    for let in w:
-        m = m * ctx.letter_matrix(let)
-    return m
+            factors += (ctx._entries[sign * ctx.x_letter], mat.entries())
+        return _product(factors)
+    return _product(map(ctx._entries.__getitem__, w))
 
 
 # ---------------------------------------------------------------------------

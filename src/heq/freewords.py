@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .psl2 import IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, ProjMat2
+from .psl2 import MAT_A, MAT_B, MAT_P, MAT_Q, ProjMat2, _product
 from .words import AB_ZERO, ABWord, C2xC3, IMG_A, IMG_B, abelianize, eval_ab
 
 Word = tuple[int, ...]
@@ -50,11 +50,16 @@ def invert_word(word: Word) -> Word:
 def substitute(relator: Word, ws: Sequence[Word]) -> Word:
     """Replace each abstract letter x_i of the relator by ws[i-1], freely reduced."""
     out: list[int] = []
+    inverses: dict[int, Word] = {}  # each ws[i] is inverted at most once
     for let in relator:
         if not 1 <= abs(let) <= len(ws):
             raise IndexError(f"relator letter {let} outside 1..{len(ws)}")
-        part = ws[abs(let) - 1]
-        out.extend(part if let > 0 else invert_word(part))
+        if let > 0:
+            out.extend(ws[let - 1])
+        else:
+            if let not in inverses:
+                inverses[let] = invert_word(ws[-let - 1])
+            out.extend(inverses[let])
     return free_reduce(out)
 
 
@@ -100,15 +105,13 @@ def parse_word(text: str, names: tuple[str, ...]) -> Word:
 P, Q = 1, 2
 PQ_NAMES = ("p", "q")
 
-_PQ_MATS = {P: MAT_P, -P: MAT_P.inv(), Q: MAT_Q, -Q: MAT_Q.inv()}
+_PQ_ENTRIES = {let: m.entries() for let, m in
+               ((P, MAT_P), (-P, MAT_P.inv()), (Q, MAT_Q), (-Q, MAT_Q.inv()))}
 
 
 def pq_to_matrix(word: FreeWord) -> ProjMat2:
     """Product of the p/q matrices named by the word."""
-    m = IDENTITY
-    for let in word:
-        m = m * _PQ_MATS[let]
-    return m
+    return _product(map(_PQ_ENTRIES.__getitem__, word))
 
 
 def parse_free_word(text: str) -> FreeWord:

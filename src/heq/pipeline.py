@@ -60,10 +60,10 @@ VERDICT_TRANSCENDENTAL = "transcendental"
 class AnalysisReport:
     """Everything the pipeline computed, plus enough raw data to re-check it.
 
-    v_words/v_matrices run parallel to nontrivial_indices (the positions of
-    the generators that are nontrivial as equations; trivial generators stay
-    in w_words, flagged, but contribute nothing downstream).  ideal_words
-    holds one substituted relator per presentation relator, unfiltered.
+    v_words runs parallel to nontrivial_indices (the positions of the
+    generators that are nontrivial as equations; trivial generators stay in
+    w_words, flagged, but contribute nothing downstream).  ideal_words holds
+    one substituted relator per presentation relator, unfiltered.
     """
 
     ctx: HContext
@@ -72,7 +72,6 @@ class AnalysisReport:
     w_equations: tuple[HEquation, ...]
     nontrivial_indices: tuple[int, ...]
     v_words: tuple[FreeWord, ...]
-    v_matrices: tuple[ProjMat2, ...]
     presentation: PresentationOnGenerators
     ideal_words: tuple[EqWord, ...]
     ideal_equations: tuple[HEquation, ...]
@@ -97,7 +96,6 @@ class AnalysisReport:
                 for w, eq in zip(self.w_words, self.w_equations)
             ],
             "v_words": [format_free_word(v) for v in self.v_words],
-            "v_matrices": [m.rows() for m in self.v_matrices],
             "presentation": {
                 "generators": self.presentation.generator_count,
                 "rank": self.presentation.rank,
@@ -126,9 +124,11 @@ class AnalysisReport:
         w_equations = tuple(reduce_equation(w, ctx) for w in w_words)
         nontrivial = tuple(i for i, eq in enumerate(w_equations) if not eq.is_trivial())
         v_words = tuple(parse_free_word(v) for v in data["v_words"])
-        v_matrices = tuple(ProjMat2(*[x for row in rows for x in row])
-                           for rows in data["v_matrices"])
         pres = data["presentation"]
+        for key, value in (("index", data["index"]), ("generators", pres["generators"]),
+                           ("rank", pres["rank"])):
+            if type(value) is not int:
+                raise TypeError(f"{key} is {value!r}, not an integer")
         relnames = tuple(f"x{i}" for i in range(1, pres["generators"] + 1))
         presentation = PresentationOnGenerators(
             pres["generators"], pres["rank"],
@@ -138,7 +138,7 @@ class AnalysisReport:
         ideal_words = tuple(parse_eq_word(e["word"], ctx) for e in data["equations"])
         ideal_equations = tuple(reduce_equation(w, ctx) for w in ideal_words)
         return cls(ctx, data["index"], w_words, w_equations, nontrivial,
-                   v_words, v_matrices, presentation, ideal_words,
+                   v_words, presentation, ideal_words,
                    ideal_equations, data["verdict"])
 
 
@@ -171,7 +171,6 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
 
     nontrivial = tuple(i for i, eq in enumerate(w_equations) if not eq.is_trivial())
     v_words: list[FreeWord] = []
-    v_matrices: list[ProjMat2] = []
     for i in nontrivial:
         if ctx.word_image(w_words[i]) != AB_ZERO:
             raise RuntimeError("generator value does not lie in the kernel F")
@@ -180,7 +179,6 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
         if pq_to_matrix(free) != value:
             raise RuntimeError("kernel rewriting disagrees with evaluation")
         v_words.append(free)
-        v_matrices.append(value)
 
     presentation = subgroup_presentation(v_words)
 
@@ -197,7 +195,7 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
                if any(not eq.is_trivial() for eq in ideal_equations)
                else VERDICT_TRANSCENDENTAL)
     return AnalysisReport(ctx, index, w_words, w_equations, nontrivial,
-                          tuple(v_words), tuple(v_matrices), presentation,
+                          tuple(v_words), presentation,
                           ideal_words, ideal_equations, verdict)
 
 
@@ -250,8 +248,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
 
     values = [evaluate(report.w_words[i], ctx) for i in report.nontrivial_indices]
     ok = (len(values) == len(report.v_words)
-          and all(pq_to_matrix(v) == m for v, m in zip(report.v_words, values))
-          and all(vm == m for vm, m in zip(report.v_matrices, values)))
+          and all(pq_to_matrix(v) == m for v, m in zip(report.v_words, values)))
     checks.append(("v-words match evaluated generators", ok,
                    f"{len(values)} values"))
 

@@ -5,11 +5,23 @@ Elements are 2x2 integer matrices of determinant 1 taken modulo the center
 reading order (e11, e12, e21, e22) is positive, which makes the class
 representative unique and equality entrywise.  All entries are plain Python
 integers, so there is no overflow anywhere.
+
+Only the public constructor ProjMat2(...) checks the determinant.  Products
+and inverses are trusted: det(AB) = det A * det B = 1 and the adjugate of a
+determinant-1 matrix has determinant 1, so they are only sign-normalized.
+Every word value in the pipeline (equations.evaluate, the coefficients of
+equations.reduce_equation, words.eval_ab, freewords.pq_to_matrix) is
+multiplied out by _product over the letters' entry 4-tuples, as plain ints,
+with one sign normalization at the end.  Only the enumeration oracle keeps
+its own entry arithmetic, so that it stays an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
+
+Entries = tuple[int, int, int, int]
 
 
 class NotUnimodular(ValueError):
@@ -31,15 +43,7 @@ class ProjMat2:
             raise NotUnimodular(
                 f"determinant is {det}, expected 1: [[{e11},{e12}],[{e21},{e22}]]"
             )
-        for entry in (e11, e12, e21, e22):
-            if entry != 0:
-                if entry < 0:
-                    e11, e12, e21, e22 = -e11, -e12, -e21, -e22
-                break
-        object.__setattr__(self, "e11", e11)
-        object.__setattr__(self, "e12", e12)
-        object.__setattr__(self, "e21", e21)
-        object.__setattr__(self, "e22", e22)
+        _fill(self, e11, e12, e21, e22)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjMat2 is immutable")
@@ -51,18 +55,19 @@ class ProjMat2:
         return [[self.e11, self.e12], [self.e21, self.e22]]
 
     def __mul__(self, other: "ProjMat2") -> "ProjMat2":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return ProjMat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        a, b, c, d = self.e11, self.e12, self.e21, self.e22
+        e, f, g, h = other.e11, other.e12, other.e21, other.e22
+        return _trusted(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inv(self) -> "ProjMat2":
         # adjugate; determinant is 1 so no division is needed
-        return ProjMat2(self.e22, -self.e12, -self.e21, self.e11)
+        return _trusted(self.e22, -self.e12, -self.e21, self.e11)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjMat2):
             return NotImplemented
-        return self.entries() == other.entries()
+        return (self.e11 == other.e11 and self.e12 == other.e12
+                and self.e21 == other.e21 and self.e22 == other.e22)
 
     def __hash__(self) -> int:
         return hash(self.entries())
@@ -72,6 +77,41 @@ class ProjMat2:
 
     def __str__(self) -> str:
         return f"[[{self.e11},{self.e12}],[{self.e21},{self.e22}]]"
+
+
+# slot setters: they bypass the immutability guard in ProjMat2.__setattr__
+_set_e11 = ProjMat2.e11.__set__
+_set_e12 = ProjMat2.e12.__set__
+_set_e21 = ProjMat2.e21.__set__
+_set_e22 = ProjMat2.e22.__set__
+
+
+def _fill(m: ProjMat2, e11: int, e12: int, e21: int, e22: int) -> None:
+    """Store a determinant-1 matrix in m, sign-normalized.  With determinant
+    1, e11 and e12 are never both 0, so the first nonzero entry is e11 or
+    e12."""
+    if e11 < 0 or (e11 == 0 and e12 < 0):
+        e11, e12, e21, e22 = -e11, -e12, -e21, -e22
+    _set_e11(m, e11)
+    _set_e12(m, e12)
+    _set_e21(m, e21)
+    _set_e22(m, e22)
+
+
+def _trusted(e11: int, e12: int, e21: int, e22: int) -> ProjMat2:
+    """ProjMat2 of a matrix whose determinant is 1 by construction."""
+    m = object.__new__(ProjMat2)
+    _fill(m, e11, e12, e21, e22)
+    return m
+
+
+def _product(factors: Iterable[Entries]) -> ProjMat2:
+    """The product of a sequence of determinant-1 entry 4-tuples, multiplied
+    as plain ints and sign-normalized once at the end."""
+    a, b, c, d = 1, 0, 0, 1
+    for e, f, g, h in factors:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return _trusted(a, b, c, d)
 
 
 def normalize(e11: int, e12: int, e21: int, e22: int) -> ProjMat2:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple
 
-from .psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
+from .psl2 import MAT_A, MAT_B, ProjMat2, _product
 
 ABWord = tuple[str, ...]
 
 _MAT_B2 = MAT_B * MAT_B
-_SYLLABLE_MATS = {"a": MAT_A, "b": MAT_B, "b2": _MAT_B2}
+_SYLLABLE_ENTRIES = {"a": MAT_A.entries(), "b": MAT_B.entries(), "b2": _MAT_B2.entries()}
 
 # Translation matrix T = b*a = [[1,1],[0,1]]; used by decompose().  The
 # identity T = ba is re-verified at import time right below.
@@ -110,10 +110,7 @@ def invert_ab(word: ABWord) -> ABWord:
 
 def eval_ab(word: ABWord) -> ProjMat2:
     """Product of the generator matrices named by the word."""
-    m = IDENTITY
-    for syl in word:
-        m = m * _SYLLABLE_MATS[syl]
-    return m
+    return _product(map(_SYLLABLE_ENTRIES.__getitem__, word))
 
 
 def abelianize(word: ABWord) -> C2xC3:

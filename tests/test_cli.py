@@ -120,6 +120,37 @@ def test_verify_rejects_forged_report(capsys, tmp_path, forge):
     assert "Traceback" not in err
 
 
+def _shape_bad_matrix(data):
+    data["h"][0] = [[1, 2], [3]]
+    return data
+
+
+def _shape_not_an_object(data):
+    return [1]
+
+
+def _shape_word_not_a_string(data):
+    data["generators"][0]["word"] = 5
+    return data
+
+
+def _shape_rank_not_an_integer(data):
+    data["presentation"]["rank"] = "2"
+    return data
+
+
+@pytest.mark.parametrize("reshape", [_shape_bad_matrix, _shape_not_an_object,
+                                     _shape_word_not_a_string, _shape_rank_not_an_integer])
+def test_verify_wrong_json_shape_exits_two(capsys, tmp_path, reshape):
+    code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
+    path = tmp_path / "reshaped.json"
+    path.write_text(json.dumps(reshape(json.loads(out))))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_input_errors_exit_two(capsys):
     code, _, err = run(capsys, "analyze", "[[1,2],[3,4]]")
     assert code == 2 and "determinant" in err

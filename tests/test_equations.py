@@ -88,6 +88,58 @@ def reduce_equation_reference(word, ctx):
     return HEquation(coeffs, signs)
 
 
+def evaluate_reference(w, ctx):
+    """The ProjMat2-product evaluation that the entry-tuple loop replaced,
+    kept as the reference."""
+    if isinstance(w, HEquation):
+        m = w.coeffs[0][0]
+        for sign, (mat, _) in zip(w.signs, w.coeffs[1:]):
+            m = m * ctx.letter_matrix(sign * ctx.x_letter) * mat
+        return m
+    m = IDENTITY
+    for let in w:
+        m = m * ctx.letter_matrix(let)
+    return m
+
+
+def run_word(rng, letters, runs):
+    """A random word of `runs` runs; one run in four has 100-160 letters."""
+    word = []
+    for _ in range(runs):
+        length = rng.randrange(100, 161) if rng.random() < 0.25 else rng.randrange(1, 4)
+        word += [rng.choice(letters)] * length
+    return tuple(word)
+
+
+def test_entry_products_match_object_reference(ctx_43, rng):
+    hyperbolic = ProjMat2(2, 1, 1, 1)
+    big = IDENTITY
+    for _ in range(50):
+        big = big * hyperbolic
+    assert big.e11 > 2 ** 64
+    contexts = [
+        ctx_43,                                                   # h2 of order 2
+        HContext.from_matrices([MAT_B, MAT_A], MAT_B),            # torsion h and g
+        HContext.from_matrices([ProjMat2(1, 2, 0, 1)], ProjMat2(1, 60, 0, 1)),  # parabolic
+        HContext.from_matrices([hyperbolic, big], ProjMat2(5, 3, 3, 2)),        # past 2^64
+    ]
+    for ctx in contexts:
+        x = ctx.x_letter
+        letters = [x, -x, x, -x] + [s * i for i in range(1, x) for s in (1, -1)]
+        for _ in range(60):
+            word = run_word(rng, letters, rng.randrange(16))
+            eq = reduce_equation(word, ctx)
+            ref = reduce_equation_reference(word, ctx)
+            assert eq.coeffs == ref.coeffs and eq.signs == ref.signs, word
+            assert render_equation(eq, ctx) == render_equation(ref, ctx)
+            value = evaluate(word, ctx)
+            assert value.entries() == evaluate_reference(word, ctx).entries()
+            assert evaluate(eq, ctx).entries() == evaluate_reference(eq, ctx).entries()
+            as_list = reduce_equation(list(word), ctx)
+            assert as_list.coeffs == eq.coeffs and as_list.signs == eq.signs
+            assert evaluate(list(word), ctx) == value
+
+
 def test_one_pass_reduction_matches_reference(ctx_43, ctx_44, h1, rng):
     # torsion coefficients (h2 of order 2, b of order 3, an identity h)
     # make trivial coefficients, and hence cascading cancellations, common

@@ -140,6 +140,18 @@ def test_json_round_trip(h1, h2):
     assert verify(restored).ok
 
 
+def test_from_dict_ignores_v_matrices(h1, h2):
+    # reports written before v_matrices was dropped still read back, whatever
+    # that key holds
+    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+    data = json.loads(json.dumps(report.to_dict()))
+    assert "v_matrices" not in data
+    data["v_matrices"] = [[[1, 0], [0, 1]]]
+    restored = AnalysisReport.from_dict(data)
+    assert restored.to_dict() == report.to_dict()
+    assert verify(restored).ok
+
+
 def test_verify_detects_corrupt_equation(h1, h2):
     report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
     # corrupt the first ideal generator by appending a stray h1

@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 
-from heq.psl2 import IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, order
+from heq.psl2 import (
+    IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, _product, order,
+)
 
 from conftest import random_matrix
 
@@ -51,6 +54,39 @@ def test_inv_matches_adjugate(rng):
         assert m.inv() == ProjMat2(d, -b, -c, a)
         assert m * m.inv() == IDENTITY
         assert m.inv() * m == IDENTITY
+
+
+def test_trusted_results_match_checked_constructor(rng):
+    # products and inverses skip the determinant check and normalize only;
+    # the checked constructor on the raw entries is the reference
+    shapes = Counter()
+    for _ in range(400):
+        m, n = random_matrix(rng), random_matrix(rng)
+        a, b, c, d = m.entries()
+        e, f, g, h = n.entries()
+        raw = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        assert (m * n).entries() == ProjMat2(*raw).entries()
+        assert m.inv().entries() == ProjMat2(d, -b, -c, a).entries()
+        if raw[0] == 0:
+            shapes["e11 zero, e12 negative" if raw[1] < 0 else "e11 zero"] += 1
+        elif raw[0] < 0 and raw[1] < 0:
+            shapes["e11 and e12 negative"] += 1
+        if d == 0:
+            shapes["inverse e11 zero"] += 1
+    assert len(shapes) == 4, shapes
+
+
+def test_product_of_entries_matches_object_products(rng):
+    for _ in range(100):
+        mats = [random_matrix(rng, 6) for _ in range(rng.randrange(8))]
+        want = IDENTITY
+        for m in mats:
+            want = want * m
+        # any sign of a factor names the same element
+        factors = [tuple(-x for x in m.entries()) if rng.random() < 0.5 else m.entries()
+                   for m in mats]
+        assert _product(factors).entries() == want.entries()
+    assert _product([]) == IDENTITY
 
 
 def test_order_examples():
