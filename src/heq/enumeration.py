@@ -1,26 +1,55 @@
 """Brute-force enumeration of short equations satisfied by g.
 
-Independent cross-check for the pipeline: walk every freely-reduced word of
-bounded length over the signed letters h1..hs, x and collect those whose
-matrix value at g is the identity and whose normal form in H*<x> is a
-nontrivial equation.  Pruning never excludes a potential witness: words with
-an adjacent letter-inverse pair are skipped because a shorter equal word is
-enumerated anyway, and a branch is cut only when the image in C2 x C3 can no
-longer reach (0,0) within the remaining length budget.
+Independent cross-check for the pipeline: find every freely reduced word of
+length at most L over the signed letters h1..hs, x whose matrix value at g is
+the identity, and keep those whose normal form in H*<x> is a nontrivial
+equation.  Words with an adjacent letter-inverse pair are never candidates,
+because the shorter word they reduce to is one anyway.
 
-The search is a depth-first walk over exact (arbitrary-precision) integer
-matrices.  Every candidate it reports is evaluated again through the
-equation layer before it becomes a witness, so a fault in the search raises
-instead of producing a wrong witness.
+The search is a meet-in-the-middle join (Schroeppel-Shamir, SIAM J. Comput.
+10(3), 1981) over exact (arbitrary-precision) integer matrices.
+
+* The ball: every freely reduced word of length r <= R = ceil(L/2), built
+  layer by layer, each layer indexed by its words' values up to sign (a
+  sign-normalized entry 4-tuple).
+* The split: a freely reduced word w of length l is u v with
+  |u| = ceil(l/2) and |v| = floor(l/2), both freely reduced, and it is
+  freely reduced exactly when u's last letter is not the inverse of v's
+  first.  So each candidate has exactly one split, and the candidates are
+  the pairs with value(u) = +-value(v)^-1 that pass this seam rule.
+* The join: v^-1 runs over the same layer as v, so u v is a candidate
+  exactly when u and a word t = v^-1 of length floor(l/2) share a key and
+  end in different letters; the candidate is u t^-1.
+
+No pruning by the image in C2 x C3 is needed: the map to C2 x C3 is a
+homomorphism of PSL2(Z), so every word of value +-I has image 0, and the
+join meets only words of value +-I.  A search that pruned by the image
+would only skip words that can never be candidates.
+
+Memory is the ball plus the witnesses; candidates stream into the re-check
+and are not kept.  The ball holds sum_{r <= R} n (n-1)^(r-1) words,
+n = 2(s+1).  enumerate_kernel computes that number before building anything
+and raises ValueError above BALL_BUDGET.  With entries of a machine word or
+two a word costs up to about 420 bytes (on Python 3.11, 586k words with 542k
+distinct values peaked at 261 MB), so a ball within the budget stays under
+about 256 MB; much larger entries cost more per word.
+
+Every candidate is evaluated again through the equation layer before it
+becomes a witness, so a fault in the search raises instead of producing a
+wrong witness.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .equations import EqWord, HContext, evaluate, reduce_equation
 from .psl2 import IDENTITY
 from .words import AB_ZERO
+
+# Most words the ball may hold; a ball this size peaks under about 256 MB.
+BALL_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -30,70 +59,60 @@ class EnumerationResult:
     backend: str = "python"  # one search path; the name stays for callers that record it
 
 
-def _search_tables(ctx: HContext):
-    """Signed-letter matrices, quotient transition table and the min-steps-
-    to-zero table used for pruning.  Signed letter index 2i is letter i+1,
-    index 2i+1 its inverse."""
-    k = ctx.x_letter
-    mats = []
-    deltas = []
-    for letter in range(1, k + 1):
-        for sl in (letter, -letter):
-            mats.append(ctx.letter_matrix(sl).entries())
-            img = ctx.letter_image(sl)
-            deltas.append(img.c2 * 3 + img.c3)
+def _ball_size(nsigned: int, radius: int) -> int:
+    """Number of freely reduced words of length 1..radius, counted only up
+    to the first partial sum above BALL_BUDGET."""
+    size, layer = 0, nsigned
+    for _ in range(radius):
+        size += layer
+        if size > BALL_BUDGET:
+            break
+        layer *= nsigned - 1
+    return size
 
-    def add(state: int, delta: int) -> int:
-        return ((state // 3 + delta // 3) % 2) * 3 + (state % 3 + delta % 3) % 3
 
-    trans = [[add(s, d) for d in deltas] for s in range(6)]
-    inf = 10 ** 9
-    min_steps = [inf] * 6
-    min_steps[0] = 0
-    frontier = [0]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for s in range(6):
-            if min_steps[s] < inf:
+def _ball(ctx: HContext, radius: int) -> list[dict[tuple, list[EqWord]]]:
+    """layers[r] maps each value of a freely reduced word of length r,
+    sign-normalized, to the words of length r with that value."""
+    letters = [(sl, ctx.letter_matrix(sl).entries())
+               for letter in range(1, ctx.x_letter + 1) for sl in (letter, -letter)]
+    layers: list[dict[tuple, list[EqWord]]] = [{(1, 0, 0, 1): [()]}]
+    for _ in range(radius):
+        nxt: dict[tuple, list[EqWord]] = {}
+        for (a, b, c, d), words in layers[-1].items():
+            for sl, (e, f, g, h) in letters:
+                ext = [w + (sl,) for w in words if not w or w[-1] != -sl]
+                if not ext:
+                    continue
+                m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                if m[0] < 0 or (m[0] == 0 and m[1] < 0):
+                    m = (-m[0], -m[1], -m[2], -m[3])
+                same = nxt.get(m)
+                if same is None:
+                    nxt[m] = ext
+                else:
+                    same.extend(ext)
+        layers.append(nxt)
+    return layers
+
+
+def _candidates(ctx: HContext, max_len: int) -> Iterator[EqWord]:
+    """Every freely reduced word of length 1..max_len with value +-I, once."""
+    layers = _ball(ctx, (max_len + 1) // 2)
+    for length in range(1, max_len + 1):
+        left, right = layers[(length + 1) // 2], layers[length // 2]
+        for key, us in left.items():
+            same = right.get(key)
+            if same is None:
                 continue
-            # s reaches 0 in `dist` steps iff some move takes it to a
-            # (dist-1)-state; moves are symmetric, so walk backwards freely
-            for d in deltas:
-                if min_steps[add(s, d)] == dist - 1:
-                    min_steps[s] = dist
-                    nxt.append(s)
-                    break
-        frontier = nxt
-    return mats, trans, min_steps
-
-
-def _candidates(mats, trans, min_steps, max_len: int) -> list[tuple[int, ...]]:
-    nsigned = len(mats)
-    found: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def rec(m, state: int, last: int) -> None:
-        depth = len(path)
-        a, b, c, d = m
-        for idx in range(nsigned):
-            if last >= 0 and idx == last ^ 1:
-                continue
-            st2 = trans[state][idx]
-            if min_steps[st2] > max_len - depth - 1:
-                continue
-            e, f, g, h = mats[idx]
-            m2 = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            path.append(idx)
-            if m2[1] == 0 and m2[2] == 0 and m2[0] == m2[3] and m2[0] * m2[0] == 1:
-                found.append(tuple(path))
-            if depth + 1 < max_len:
-                rec(m2, st2, idx)
-            path.pop()
-
-    rec((1, 0, 0, 1), 0, -1)
-    return found
+            # t = v^-1 ends in the inverse of v's first letter, so the seam
+            # rule reads u[-1] != t[-1]; the empty t (length 1) has no seam
+            ts = [(t[-1] if t else 0, tuple(-sl for sl in reversed(t))) for t in same]
+            for u in us:
+                last = u[-1]
+                for t_last, v in ts:
+                    if t_last != last:
+                        yield u + v
 
 
 def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
@@ -101,16 +120,20 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
 
     A witness is a word that evaluates to the identity at g but is a
     nontrivial element of H*<x>.  Witnesses come out as raw EqWords sorted
-    by (length, word), letters compared as signed integers.
+    by (length, word), letters compared as signed integers.  Raises
+    ValueError when max_len < 1, or when the ball of words of length up to
+    ceil(max_len/2) would hold more than BALL_BUDGET words.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    candidates = _candidates(*_search_tables(ctx), max_len)
+    nsigned, radius = 2 * ctx.x_letter, (max_len + 1) // 2
+    if _ball_size(nsigned, radius) > BALL_BUDGET:
+        raise ValueError(
+            f"max_len {max_len} needs more than {BALL_BUDGET} words of length "
+            f"up to {radius} over {nsigned} signed letters")
 
     witnesses: list[EqWord] = []
-    for idx_path in candidates:
-        word: EqWord = tuple(
-            (idx // 2 + 1) * (1 if idx % 2 == 0 else -1) for idx in idx_path)
+    for word in _candidates(ctx, max_len):
         if evaluate(word, ctx) != IDENTITY or ctx.word_image(word) != AB_ZERO:
             raise RuntimeError(f"search produced a non-witness {word}")
         if not reduce_equation(word, ctx).is_trivial():

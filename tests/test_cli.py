@@ -162,6 +162,9 @@ def test_input_errors_exit_two(capsys):
     assert code == 2 and "integer entries" in err
     code, _, err = run(capsys, "verify", "/nonexistent/report.json")
     assert code == 2
+    # the oracle's ball of words up to length 30 would not fit in memory
+    code, out, err = run(capsys, "oracle", H1, H2, G44, "--max-len", "60")
+    assert code == 2 and out == "" and err.startswith("error: max_len 60 needs more than")
 
 
 def test_oracle_command(capsys):

@@ -1,21 +1,152 @@
 import pytest
 
-from heq.psl2 import IDENTITY, ProjMat2
+from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import HContext, evaluate, parse_eq_word, reduce_equation
-from heq.enumeration import cross_check, enumerate_kernel
+from heq.enumeration import (BALL_BUDGET, _ball_size, _candidates, cross_check,
+                             enumerate_kernel)
 from heq.pipeline import VERDICT_TRANSCENDENTAL, analyze
 
-from conftest import run_python
+from conftest import random_matrix, run_python
+
+
+# ---------------------------------------------------------------------------
+# reference: the depth-first search the meet-in-the-middle join replaced,
+# kept verbatim, with its pruning by the image in C2 x C3
+
+
+def _search_tables(ctx: HContext):
+    """Signed-letter matrices, quotient transition table and the min-steps-
+    to-zero table used for pruning.  Signed letter index 2i is letter i+1,
+    index 2i+1 its inverse."""
+    k = ctx.x_letter
+    mats = []
+    deltas = []
+    for letter in range(1, k + 1):
+        for sl in (letter, -letter):
+            mats.append(ctx.letter_matrix(sl).entries())
+            img = ctx.letter_image(sl)
+            deltas.append(img.c2 * 3 + img.c3)
+
+    def add(state: int, delta: int) -> int:
+        return ((state // 3 + delta // 3) % 2) * 3 + (state % 3 + delta % 3) % 3
+
+    trans = [[add(s, d) for d in deltas] for s in range(6)]
+    inf = 10 ** 9
+    min_steps = [inf] * 6
+    min_steps[0] = 0
+    frontier = [0]
+    dist = 0
+    while frontier:
+        dist += 1
+        nxt = []
+        for s in range(6):
+            if min_steps[s] < inf:
+                continue
+            # s reaches 0 in `dist` steps iff some move takes it to a
+            # (dist-1)-state; moves are symmetric, so walk backwards freely
+            for d in deltas:
+                if min_steps[add(s, d)] == dist - 1:
+                    min_steps[s] = dist
+                    nxt.append(s)
+                    break
+        frontier = nxt
+    return mats, trans, min_steps
+
+
+def _candidates_dfs(mats, trans, min_steps, max_len: int) -> list[tuple[int, ...]]:
+    nsigned = len(mats)
+    found: list[tuple[int, ...]] = []
+    path: list[int] = []
+
+    def rec(m, state: int, last: int) -> None:
+        depth = len(path)
+        a, b, c, d = m
+        for idx in range(nsigned):
+            if last >= 0 and idx == last ^ 1:
+                continue
+            st2 = trans[state][idx]
+            if min_steps[st2] > max_len - depth - 1:
+                continue
+            e, f, g, h = mats[idx]
+            m2 = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            path.append(idx)
+            if m2[1] == 0 and m2[2] == 0 and m2[0] == m2[3] and m2[0] * m2[0] == 1:
+                found.append(tuple(path))
+            if depth + 1 < max_len:
+                rec(m2, st2, idx)
+            path.pop()
+
+    rec((1, 0, 0, 1), 0, -1)
+    return found
+
+
+def _dfs_candidates(ctx: HContext, max_len: int) -> list[tuple[int, ...]]:
+    """The reference search's candidates as signed-letter words."""
+    return [tuple((idx // 2 + 1) * (1 if idx % 2 == 0 else -1) for idx in idx_path)
+            for idx_path in _candidates_dfs(*_search_tables(ctx), max_len)]
+
+
+def _assert_join_matches_dfs(ctx: HContext, max_len: int) -> int:
+    """Same candidate multiset and same witness tuple as the reference;
+    returns the number of candidates."""
+    expected = sorted(_dfs_candidates(ctx, max_len))
+    assert sorted(_candidates(ctx, max_len)) == expected
+    witnesses = sorted((w for w in expected if not reduce_equation(w, ctx).is_trivial()),
+                       key=lambda w: (len(w), w))
+    assert enumerate_kernel(ctx, max_len).witnesses == tuple(witnesses)
+    return len(expected)
+
+
+def _power(m: ProjMat2, k: int) -> ProjMat2:
+    out = IDENTITY
+    for _ in range(k):
+        out = out * m
+    return out
+
+
+def _seeded_contexts(rng) -> list[tuple[HContext, int]]:
+    """(context, max_len): random ones with s = 1..3, then the edge cases."""
+    big = _power(ProjMat2(3, 1, -1, 0), 50)
+    assert max(abs(e) for e in big.entries()) > 2 ** 64
+    cases = []
+    for i in range(32):
+        s = 1 + i % 3
+        cases.append(([random_matrix(rng, 8) for _ in range(s)], random_matrix(rng, 8)))
+    h, k = random_matrix(rng, 8), random_matrix(rng, 8)
+    cases += [
+        ([IDENTITY, h], k),                 # an identity h
+        ([MAT_A], h),                       # torsion h of order 2
+        ([MAT_B, h], k),                    # torsion h of order 3
+        ([h, k], IDENTITY),                 # g = I
+        ([h, k], h * k.inv() * h),          # g in H
+        ([MAT_B], MAT_B.inv()),             # torsion g in H
+        ([big], h),                         # entries above 2^64
+        ([big, h], big),                    # ... and g in H
+    ]
+    return [(HContext.from_matrices(hs, g), 6 if len(hs) < 3 else 5) for hs, g in cases]
+
+
+def test_join_matches_dfs_reference(ctx_43, ctx_44, rng):
+    for ctx in (ctx_43, ctx_44):
+        for max_len in range(1, 9):
+            _assert_join_matches_dfs(ctx, max_len)
+    # the T^2, U^2, a context of the oracle benchmark: x^2 is a witness
+    t2, u2 = ProjMat2(1, 2, 0, 1), ProjMat2(1, 0, 2, 1)
+    assert _assert_join_matches_dfs(HContext.from_matrices([t2, u2], MAT_A), 8) == 7224
+    for ctx, max_len in _seeded_contexts(rng):
+        _assert_join_matches_dfs(ctx, max_len)
 
 
 def test_first_example_has_no_short_witness(ctx_43):
-    result = enumerate_kernel(ctx_43, 8)
+    result = enumerate_kernel(ctx_43, 10)
     assert result.witnesses == ()
+    assert sum(1 for _ in _candidates(ctx_43, 10)) == 8042
 
 
 def test_second_example_has_witnesses(ctx_44):
     result = enumerate_kernel(ctx_44, 10)
-    assert len(result.witnesses) >= 1
+    assert len(result.witnesses) == 1268
+    assert sum(1 for _ in _candidates(ctx_44, 10)) == 9310
     specific = parse_eq_word("h1 x^-1 h1^-1 x h1^-1 x^-1 h1 x^-2", ctx_44)
     assert evaluate(specific, ctx_44) == IDENTITY
     assert specific in result.witnesses
@@ -45,13 +176,6 @@ def test_membership_witness_at_length_two():
     assert all(len(w) == 2 for w in result.witnesses)
 
 
-def _power(m: ProjMat2, k: int) -> ProjMat2:
-    out = IDENTITY
-    for _ in range(k):
-        out = out * m
-    return out
-
-
 def test_large_entries_membership_witness():
     # h has 23-bit entries; the exact search puts no bound on entry size
     h = _power(ProjMat2(3, 1, -1, 0), 16)
@@ -63,6 +187,13 @@ def test_large_entries_membership_witness():
 def test_max_len_validation(ctx_43):
     with pytest.raises(ValueError):
         enumerate_kernel(ctx_43, 0)
+    # s = 2, so 6 signed letters: max_len 14 needs the ball of radius 7,
+    # max_len 15 the one of radius 8, over the budget; the check comes
+    # before any word is built
+    assert _ball_size(6, 7) == 117186 <= BALL_BUDGET < _ball_size(6, 8) == 585936
+    for max_len in (15, 60, 10 ** 9):
+        with pytest.raises(ValueError, match="more than"):
+            enumerate_kernel(ctx_43, max_len)
 
 
 def test_cross_check_consistent(h1, h2, ctx_43, ctx_44):
