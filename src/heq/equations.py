@@ -21,7 +21,7 @@ from typing import Sequence
 from .freewords import Word, format_word, parse_word
 from .freewords import substitute  # part of this module's API
 from .psl2 import IDENTITY, Entries, ProjMat2, _product
-from .words import AB_ZERO, ABWord, C2xC3, abelianize, decompose, eval_ab
+from .words import ABWord, C2xC3, abelianize, decompose, eval_ab
 
 EqWord = Word
 
@@ -88,10 +88,12 @@ class HContext:
 
     def word_image(self, word: EqWord) -> C2xC3:
         image = self._image
-        img = AB_ZERO
+        c2 = c3 = 0
         for let in word:
-            img = img + image[let]
-        return img
+            i2, i3 = image[let]
+            c2 += i2
+            c3 += i3
+        return C2xC3(c2 % 2, c3 % 3)
 
 
 class HEquation:

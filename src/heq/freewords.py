@@ -7,9 +7,9 @@ the rest of the package shares.  A word is a tuple of nonzero ints: letter k
 
 The Reidemeister-Schreier rewriting of kernel elements into {p, q} walks the
 Schreier graph of F (the Cayley graph of C2 x C3) with the transversal
-{1, b, b^2, a, ab, ab^2} and emits one table entry per letter crossed.  The
-twelve table entries are frozen data, re-verified against matrix arithmetic
-at import time.
+{1, b, b^2, a, ab, ab^2} and emits one table entry per letter crossed,
+looked up one syllable at a time.  The twelve table entries are frozen
+data, re-verified against matrix arithmetic at import time.
 """
 
 from __future__ import annotations
@@ -167,6 +167,23 @@ def gamma_table_self_check() -> None:
 gamma_table_self_check()
 
 
+def _syllable_steps() -> dict[tuple[C2xC3, str], tuple[FreeWord, C2xC3]]:
+    """(state, syllable) -> (gammas emitted, next state), b2 being b twice."""
+    steps = {}
+    for u in _TRANSVERSAL:
+        for syl, letters in (("a", "a"), ("b", "b"), ("b2", "bb")):
+            out: list[int] = []
+            state = u
+            for letter in letters:
+                out.extend(gamma(state, letter))
+                state = state + _LETTER_IMAGE[letter]
+            steps[u, syl] = (tuple(out), state)
+    return steps
+
+
+_SYLLABLE_STEP = _syllable_steps()
+
+
 def rewrite_kernel(word: ABWord) -> FreeWord:
     """Rewrite a kernel element, given as an ABWord, as a free word in {p, q}.
 
@@ -178,9 +195,8 @@ def rewrite_kernel(word: ABWord) -> FreeWord:
     out: list[int] = []
     state = AB_ZERO
     for syl in word:
-        for letter in ("a",) if syl == "a" else ("b",) * (1 if syl == "b" else 2):
-            out.extend(gamma(state, letter))
-            state = state + _LETTER_IMAGE[letter]
+        part, state = _SYLLABLE_STEP[state, syl]
+        out.extend(part)
     return free_reduce(out)
 
 

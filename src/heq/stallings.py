@@ -28,16 +28,30 @@ The engine keeps that order without rescanning the automaton: for the whole
 fold it keeps each vertex's edges bucketed by (label, direction) in edge-list
 order, deletions keeping the relative order, and the set of dirty vertices.
 Only the absorbing vertex can become dirty, so each step updates the
-vertices it touches, gauges and moves the absorbed vertex's edges only, and
-searches breadth-first from the basepoint up to the first dirty vertex;
-the basepoint and a lone dirty vertex are taken without a search.  A closed
-folding reads its path memory off that search tree.
+vertices it touches, and gauges and moves the absorbed vertex's edges only.
+The basepoint and a lone dirty vertex are taken without a search.
+
+Otherwise the next dirty vertex comes from one breadth-first search from the
+basepoint that lasts the whole fold and is resumed, never restarted: it
+keeps its queue, each discovered vertex's queue position and tree edge, and
+per processed vertex the queue length when its processing began.  How the
+search processes a vertex depends only on that vertex's buckets and the far
+ends of its edges, so the state before processing a vertex stays valid while
+no vertex processed earlier is touched.  An open folding at v that absorbs
+y into z touches v, z and y's neighbours, among them whichever vertex
+discovered y; the search goes back to just before the first of these it
+processed, and the next step takes the first dirty vertex it has
+discovered, or else searches on.  A closed folding touches no search state:
+the dropped edge comes after its parallel twin in both end buckets, so it
+never discovered a vertex.  A closed folding reads its path memory off the
+search tree, searching on to its target if that has not been discovered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Container, Sequence
+from itertools import islice
+from typing import Container, Iterable, Sequence
 
 from .freewords import (
     FreeWord,
@@ -249,25 +263,6 @@ def build_flower(words: Sequence[FreeWord]) -> StallingsAutomaton:
 # folding engine
 # ---------------------------------------------------------------------------
 
-def _search(base: int, adj: dict[int, list[list[int]]], fars: tuple[list[int], ...],
-            targets: Container[int]) -> tuple[int | None, dict[int, int]]:
-    """Breadth-first search from base in _adjacency's order, stopped at the
-    first vertex of targets it reaches (None if it reaches none).  Also
-    returns the search tree: vertex -> serial of the edge that reached it."""
-    parent = {base: -1}
-    queue = [base]
-    for v in queue:
-        for far, bucket in zip(fars, adj[v]):
-            for i in bucket:
-                w = far[i]
-                if w not in parent:
-                    parent[w] = i
-                    if w in targets:
-                        return w, parent
-                    queue.append(w)
-    return None, parent
-
-
 def _trim(aut: StallingsAutomaton) -> None:
     """Remove hanging trees: non-basepoint vertices of total degree <= 1."""
     while True:
@@ -307,7 +302,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
     scan = slots if order_variant == 0 else slots[::-1]
 
     def is_dirty(v: int) -> bool:
-        return any(len(bucket) > 1 for bucket in adj[v])
+        return max(map(len, adj[v])) > 1
 
     def recheck(v: int) -> None:
         if is_dirty(v):
@@ -321,11 +316,11 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
         adj[src[i]][slot].remove(i)
         adj[dst[i]][slot + 1].remove(i)
 
-    def path_memory(parent: dict[int, int], v: int) -> Word:
-        """Memory product along the walk's tree path base -> v."""
+    def path_memory(v: int) -> Word:
+        """Memory product along the search tree's path base -> v."""
         chain: list[Word] = []
         while v != base:
-            i = parent[v]
+            i = via[pos[v]]
             if dst[i] == v:
                 chain.append(mem[i])
                 v = src[i]
@@ -334,18 +329,73 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
                 v = dst[i]
         return free_reduce(let for part in reversed(chain) for let in part)
 
+    # one breadth-first search from the basepoint in _adjacency's order,
+    # resumed across fold steps: queue[:len(mark)] is processed, mark[i] is
+    # len(queue) when processing queue[i] began, pos inverts queue in
+    # discovery order, and via[i] is the serial of the edge that reached
+    # queue[i]
+    queue = [base]
+    via = [-1]
+    pos = {base: 0}
+    mark: list[int] = []
+
+    def search(targets: Container[int]) -> int | None:
+        """Process the queue on until a vertex of targets is discovered;
+        finish that vertex and return the target (None if none is met)."""
+        found = None
+        n = len(queue)
+        for v in islice(queue, len(mark), None):
+            mark.append(n)
+            for far, bucket in zip(fars, adj[v]):
+                for i in bucket:
+                    w = far[i]
+                    if w not in pos:
+                        pos[w] = n
+                        n += 1
+                        queue.append(w)
+                        via.append(i)
+                        if w in targets and found is None:
+                            found = w
+            if found is not None:
+                break
+        return found
+
+    def rewind(touched: Iterable[int]) -> None:
+        """Go back to the search state before the first processed vertex
+        of touched, the vertices whose buckets or far ends a step changed:
+        how a vertex is processed depends on nothing else."""
+        if not mark:
+            return
+        k = len(mark)
+        for u in touched:
+            if pos.get(u, k) < k:
+                k = pos[u]
+        if k < len(mark):
+            n = mark[k]
+            for _ in range(n, len(queue)):
+                pos.popitem()
+            del mark[k:]
+            del queue[n:]
+            del via[n:]
+
     # folding never disconnects the graph and never reaches a vertex the
-    # basepoint cannot, so only reachable vertices are ever dirty
-    dirty = {v for v in _search(base, adj, fars, ())[1] if is_dirty(v)}
+    # basepoint cannot, so only reachable vertices are ever dirty; the
+    # basepoint is reachable, so a search runs only if another vertex is dirty
+    dirty = {v for v in adj if is_dirty(v)}
+    if dirty - {base}:
+        search(())
+        dirty.intersection_update(pos)
     steps: list[FoldStep] = []
     while dirty:
-        parent = {base: -1}
         if base in dirty:
             v = base
         elif len(dirty) == 1:
             v = next(iter(dirty))
         else:
-            v, parent = _search(base, adj, fars, dirty)
+            # the first dirty vertex in discovery order: among those
+            # already discovered, else the next one the search meets
+            first = min((pos[u] for u in dirty if u in pos), default=None)
+            v = search(dirty) if first is None else queue[first]
         for slot in scan:
             bucket = adj[v][slot]
             if len(bucket) > 1:
@@ -355,14 +405,16 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             # closed folding: the two edges are parallel; read the relator
             # around the redundant cycle, conjugated back to the basepoint
             target = src[keep]
-            if target not in parent:
-                _, parent = _search(base, adj, fars, (target,))
-            path = path_memory(parent, target)
+            if target not in pos:
+                search((target,))
+            path = path_memory(target)
             relator = free_reduce(path + mem[keep] + invert_word(mem[merge])
                                   + invert_word(path))
             if not relator:
                 raise RuntimeError("closed folding produced an empty relator")
             steps.append(FoldStep(True, labels[keep], relator))
+            # no rewind: merge follows keep in both end buckets (module
+            # docstring)
             drop(merge)
             recheck(src[merge])
             recheck(dst[merge])
@@ -381,6 +433,9 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
         inv_gamma = invert_word(gamma)
         steps.append(FoldStep(False, labels[keep]))
         drop(merge)
+        # v and z change buckets and y's neighbours will reach z instead;
+        # y itself lies past the rewind, as one of these discovered it
+        rewind([v, z, *(far[i] for far, bucket in zip(fars, adj[y]) for i in bucket)])
         for k, (moved, into) in enumerate(zip(adj.pop(y), adj[z])):
             for i in moved:
                 if k % 2 == 0:

@@ -25,6 +25,11 @@ if MAT_B * MAT_A != _MAT_T:
     raise RuntimeError("b*a is not the translation [[1,1],[0,1]]")
 _MAT_S_INV = MAT_A.inv()
 
+# decompose() refuses a matrix whose expanded a/b-letter sequence would be
+# longer than this: [[1,n],[0,1]] expands to 2n letters, so without a limit
+# n = 10**9 would build a list of 2*10**9 letters and run out of memory
+WORD_BUDGET = 10**6
+
 
 class C2xC3(NamedTuple):
     """An element of C2 x C3, the abelianization of PSL2(Z)."""
@@ -45,7 +50,6 @@ class C2xC3(NamedTuple):
 AB_ZERO = C2xC3(0, 0)
 IMG_A = C2xC3(1, 0)
 IMG_B = C2xC3(0, 1)
-_SYLLABLE_IMAGES = {"a": IMG_A, "b": IMG_B, "b2": IMG_B + IMG_B}
 
 _LETTER_TO_SYLLABLE = {
     "a": "a",
@@ -115,10 +119,7 @@ def eval_ab(word: ABWord) -> ProjMat2:
 
 def abelianize(word: ABWord) -> C2xC3:
     """Image in C2 x C3 (a -> (1,0), b -> (0,1))."""
-    img = AB_ZERO
-    for syl in word:
-        img = img + _SYLLABLE_IMAGES[syl]
-    return img
+    return C2xC3(word.count("a") % 2, (word.count("b") + 2 * word.count("b2")) % 3)
 
 
 def decompose(m: ProjMat2) -> ABWord:
@@ -129,6 +130,9 @@ def decompose(m: ProjMat2) -> ABWord:
     lower-left entry strictly at every round.  The resulting letter sequence
     is then reduced; uniqueness of normal forms makes the output independent
     of how the expression was found.
+
+    Raises ValueError, before building any letter, when the sequence would
+    have more than WORD_BUDGET letters.
     """
     factors: list[tuple[str, int]] = []  # ("T", n) or ("S", 0), left to right
     cur = m
@@ -144,6 +148,10 @@ def decompose(m: ProjMat2) -> ABWord:
     # cur is now [[1, n],[0, 1]] = T^n (sign normalization forces e11 = 1)
     if cur.e12 != 0:
         factors.append(("T", cur.e12))
+    length = sum(2 * abs(n) if kind == "T" else 1 for kind, n in factors)
+    if length > WORD_BUDGET:
+        raise ValueError(f"{m} expands to {length} a/b letters, more than "
+                         f"the budget of {WORD_BUDGET}")
 
     letters: list[str] = []
     for kind, n in factors:

@@ -165,6 +165,9 @@ def test_input_errors_exit_two(capsys):
     # the oracle's ball of words up to length 30 would not fit in memory
     code, out, err = run(capsys, "oracle", H1, H2, G44, "--max-len", "60")
     assert code == 2 and out == "" and err.startswith("error: max_len 60 needs more than")
+    # [[1,10^9],[0,1]] expands to 2*10^9 a/b letters, over the word budget
+    code, out, err = run(capsys, "decompose", "[[1,1000000000],[0,1]]")
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_oracle_command(capsys):

@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from heq import stallings
 from heq.freewords import free_reduce, invert_word, parse_free_word as pw, pq_to_matrix
+from heq.pipeline import analyze
 from heq.stallings import (
     Edge,
     FoldStep,
@@ -11,6 +15,7 @@ from heq.stallings import (
     stallings_membership,
     subgroup_presentation,
 )
+from heq.words import eval_ab
 
 V43 = [pw("p"), pw("q^2"), pw("q p q p^-1 q^-1 p^-1 q^-1"), pw("q p q^-2 p^-1 q^-1")]
 V44 = [pw(s) for s in [
@@ -287,6 +292,44 @@ def random_generator_set(rng):
     return gens
 
 
+def reduced_word(rng, length, cyclic=False):
+    """A freely reduced word of exactly the given length; with cyclic, its
+    last letter does not cancel its first either."""
+    while True:
+        word = []
+        while len(word) < length:
+            let = rng.choice([1, -1, 2, -2])
+            if not word or let != -word[-1]:
+                word.append(let)
+        if not cyclic or word[0] != -word[-1]:
+            return tuple(word)
+
+
+def long_generator_sets(rng):
+    """Petals of 100 to 170 letters that take the fold engine's search
+    through resumed states.  Two fold fronts run at once in each, so several
+    vertices are dirty at once.
+
+    - Three petals on one 70-letter prefix fold together far from the
+      basepoint.
+    - t^2 and t^3, t cyclically reduced: the second collapses onto the
+      first, absorbing vertices into the basepoint and its neighbours, which
+      sends the search back to its start.
+    - The same powers conjugated by a stem, beside a petal on that stem: the
+      collapse happens far from the basepoint, and its closed folds have
+      targets the search has not reached.
+    """
+    stem = reduced_word(rng, 70)
+    shared = [free_reduce(stem + reduced_word(rng, rng.randrange(30, 80)))
+              for _ in range(3)]
+    t = reduced_word(rng, 50, cyclic=True)
+    c, u = reduced_word(rng, 30), reduced_word(rng, 35, cyclic=True)
+    conjugated = [free_reduce(c + u * 2 + invert_word(c)),
+                  free_reduce(c + reduced_word(rng, 70)),
+                  free_reduce(c + u * 3 + invert_word(c))]
+    return [shared, [t * 2, t * 3], conjugated]
+
+
 def _fold_outputs(aut):
     out = []
     for variant in (0, 1):
@@ -296,7 +339,7 @@ def _fold_outputs(aut):
 
 
 def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
-    sets = [random_generator_set(rng) for _ in range(250)]
+    sets = [random_generator_set(rng) for _ in range(250)] + long_generator_sets(rng)
     automata = [build_flower(gens) for gens in sets] + [
         # a dirty vertex the basepoint cannot reach is never folded
         StallingsAutomaton(0, [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7)]),
@@ -311,3 +354,34 @@ def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
     actual = ([_fold_outputs(aut) for aut in automata],
               [subgroup_presentation(gens) for gens in sets])
     assert actual == expected
+
+
+# sha256 of subgroup_presentation's (rank, basis, relators) and of the flower
+# fold's (steps, canonical edges), on the v-words of h = (w1, w2, w3) and
+# g = w1 w2^-1 for 1000-letter a/b words w_i drawn from each seed.  The fold
+# order fixes both, so they must never change.
+PINNED_LONG = {
+    1: ("a65e399c73bcf7eee4155404aa9455ebab5f5b817828cc7dbecb70f322535f61",
+        "6b1af99f2ab372f2926fe9a0a8b9af85e1e1cfc845964d4df853be7c93a781ff"),
+    2: ("efff7da7d23a1149bfed8946b6e57b85edd9695fa9de8176a7c3e85ce5827827",
+        "a55f3c1059acebb99060446a7eaf75aa6f04e2094e63541d4eb96323aae0c9f3"),
+    3: ("cd6d41132482260246a92c90208a95837171d285c0b2868c174013b5c285ed72",
+        "f0f935a4d8092c3af93e42a335fd9d4680444db67358721ac1d90c8efde99735"),
+    4: ("7eff7296799fc8fb2b3e2bfc716d5d8620ef065ce22613b1b3f33d3b5fc76ae1",
+        "249f369469806245c006353853fa2c3deadb37acc0f843e9420326a6289bbf41"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LONG))
+def test_long_words_pinned(seed):
+    r = random.Random(seed)
+    mats = [eval_ab(tuple(syl for _ in range(500) for syl in ("a", r.choice(("b", "b2")))))
+            for _ in range(3)]
+    report = analyze(mats, mats[0] * mats[1].inv())
+    pres = report.presentation
+    aut, log = fold(build_flower(report.v_words))
+    assert len(pres.relators) == log.closed_count == 3
+    digests = tuple(hashlib.sha256(repr(value).encode()).hexdigest()
+                    for value in ((pres.rank, pres.basis, pres.relators),
+                                  (log.steps, aut.canonical_edges())))
+    assert digests == PINNED_LONG[seed]

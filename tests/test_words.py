@@ -1,5 +1,6 @@
 import pytest
 
+from heq import words
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.words import (
     AB_ZERO,
@@ -63,6 +64,22 @@ def test_decompose_round_trip(rng):
     for _ in range(200):
         word = reduce_ab(rng.choice(letters) for _ in range(rng.randrange(40)))
         assert decompose(eval_ab(word)) == word
+
+
+def test_decompose_word_budget(monkeypatch):
+    # [[1,n],[0,1]] = (ba)^n expands to 2n letters; over the budget the
+    # matrix is refused before any letter is built
+    with pytest.raises(ValueError, match="budget"):
+        decompose(ProjMat2(1, 10**9, 0, 1))
+    assert len(decompose(ProjMat2(1, 3000, 0, 1))) == 6000
+    monkeypatch.setattr(words, "WORD_BUDGET", 100)
+    assert decompose(ProjMat2(1, 50, 0, 1)) == ("b", "a") * 50
+    assert decompose(ProjMat2(1, -50, 0, 1)) == ("a", "b2") * 50
+    for m in (ProjMat2(1, 51, 0, 1), ProjMat2(1, -51, 0, 1),
+              # one a letter from a Euclidean round, then (ba)^50: 101 letters
+              ProjMat2(0, -1, 1, 50)):
+        with pytest.raises(ValueError, match="budget"):
+            decompose(m)
 
 
 _WRONG_EVAL = """
