@@ -24,10 +24,14 @@ absorbs the far end of the later edge into that of the earlier one, unless
 the later one ends at the basepoint, which is never absorbed.  The
 confluence tests' order variant reverses the (label, direction) order.
 
-The engine keeps that order without rescanning the automaton: for the whole
-fold it keeps each vertex's edges bucketed by (label, direction) in edge-list
-order, deletions keeping the relative order, and the set of dirty vertices.
-Only the absorbing vertex can become dirty, so each step updates the
+An automaton has one representation, which the fold works on in place: its
+edges by serial (src, dst, label, memory, alive), new edges taking the next
+serial, and per vertex four buckets of serials [p out, p in, q out, q in] in
+ascending order, which is the (label, direction, position) order above.
+Every reader walks the buckets.  Only a vertex whose buckets changed since
+the last fold can be dirty or hanging, so a fold costs its own steps, not
+the size of the automaton.  The engine keeps the set of dirty vertices;
+only the absorbing vertex can become dirty, so each step updates the
 vertices it touches, and gauges and moves the absorbed vertex's edges only.
 The basepoint and a lone dirty vertex are taken without a search.
 
@@ -49,9 +53,9 @@ search tree, searching on to its target if that has not been discovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, KeysView, Sequence
 
 from .freewords import (
     FreeWord,
@@ -64,6 +68,8 @@ from .freewords import (
 )
 
 NUM_LABELS = 2  # p, q
+# bucket k of a vertex holds the edges that read SLOT_LETTERS[k] from it
+SLOT_LETTERS = (1, -1, 2, -2)
 
 
 @dataclass
@@ -95,44 +101,65 @@ class FoldingLog:
 
 
 class StallingsAutomaton:
-    """Labeled based graph; immutable once handed out.
+    """Labeled based graph, stored as the module docstring states.
 
-    Unfolded instances (fresh flowers) carry folded=False; fold() produces
-    the folded automaton together with its log.
+    Fresh flowers carry folded=False; fold() returns a folded copy with its
+    log.  Neither changes afterwards, but subgroup_presentation grows and
+    folds its own working automaton in place.
     """
 
-    def __init__(self, base: int, edges: Sequence[Edge], folded: bool = False,
+    def __init__(self, base: int, edges: Iterable[Edge], folded: bool = False,
                  trivial_petals: tuple[int, ...] = ()):
         self.base = base
-        self.edges = list(edges)
         self.folded = folded
         self.trivial_petals = trivial_petals
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.labels: list[int] = []
+        self.mem: list[Word] = []
+        self.alive: list[bool] = []
+        # vertex -> buckets [p out, p in, q out, q in] of ascending serials;
+        # an edge in bucket k leads on to far_ends[k][serial]
+        self.far_ends = (self.dst, self.src) * NUM_LABELS
+        self.buckets: dict[int, list[list[int]]] = {base: [[] for _ in SLOT_LETTERS]}
+        # vertices whose buckets changed since the last fold
+        self.changed = {base}
+        for e in edges:
+            self._add_edge(e.src, e.label, e.dst, e.mem)
 
-    def vertices(self) -> set[int]:
-        verts = {self.base}
-        for e in self.edges:
-            verts.add(e.src)
-            verts.add(e.dst)
-        return verts
+    def _add_edge(self, src: int, label: int, dst: int, mem: Word) -> None:
+        serial = len(self.src)
+        self.src.append(src)
+        self.dst.append(dst)
+        self.labels.append(label)
+        self.mem.append(mem)
+        self.alive.append(True)
+        for v, slot in ((src, 2 * label - 2), (dst, 2 * label - 1)):
+            if v not in self.buckets:
+                self.buckets[v] = [[] for _ in SLOT_LETTERS]
+            self.buckets[v][slot].append(serial)
+            self.changed.add(v)
+
+    def _remove_edge(self, serial: int) -> None:
+        self.alive[serial] = False
+        slot = 2 * self.labels[serial] - 2
+        for v, k in ((self.src[serial], slot), (self.dst[serial], slot + 1)):
+            self.buckets[v][k].remove(serial)
+            self.changed.add(v)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The live edges in serial order, as fresh Edge objects."""
+        return tuple(Edge(self.src[i], self.labels[i], self.dst[i], self.mem[i])
+                     for i, alive in enumerate(self.alive) if alive)
+
+    def vertices(self) -> KeysView[int]:
+        return self.buckets.keys()
 
     def rank(self) -> int:
-        return len(self.edges) - (len(self.vertices()) - 1)
-
-    def copy(self) -> "StallingsAutomaton":
-        return StallingsAutomaton(self.base, [replace(e) for e in self.edges],
-                                  self.folded, self.trivial_petals)
+        return sum(self.alive) - (len(self.buckets) - 1)
 
     # -- traversal ---------------------------------------------------------
-
-    def _adjacency(self) -> dict[int, list[tuple[int, int, int, int]]]:
-        """vertex -> [(label, direction 0=out/1=in, edge index, other end)]."""
-        adj: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in self.vertices()}
-        for i, e in enumerate(self.edges):
-            adj[e.src].append((e.label, 0, i, e.dst))
-            adj[e.dst].append((e.label, 1, i, e.src))
-        for lst in adj.values():
-            lst.sort()
-        return adj
 
     def bfs_order(self) -> list[int]:
         """Vertices in the discovery order of spanning_tree's search."""
@@ -145,60 +172,49 @@ class StallingsAutomaton:
         some letter cannot be read.  Requires a folded automaton so that the
         walk is deterministic.
         """
-        out: dict[tuple[int, int], tuple[int, Edge]] = {}
-        inc: dict[tuple[int, int], tuple[int, Edge]] = {}
-        for e in self.edges:
-            out[(e.src, e.label)] = (e.dst, e)
-            inc[(e.dst, e.label)] = (e.src, e)
         v = self.base
         mem: list[int] = []
         for let in word:
+            bucket = self.buckets[v][SLOT_LETTERS.index(let)]
+            if not bucket:
+                return None
+            i = bucket[0]
             if let > 0:
-                hop = out.get((v, let))
-                if hop is None:
-                    return None
-                v = hop[0]
-                mem.extend(hop[1].mem)
+                v = self.dst[i]
+                mem.extend(self.mem[i])
             else:
-                hop = inc.get((v, -let))
-                if hop is None:
-                    return None
-                v = hop[0]
-                mem.extend(invert_word(hop[1].mem))
+                v = self.src[i]
+                mem.extend(invert_word(self.mem[i]))
         return v, free_reduce(mem)
 
     # -- spanning tree and basis -------------------------------------------
 
     def spanning_tree(self) -> tuple[set[int], dict[int, Word]]:
-        """BFS tree: (set of tree edge indices, vertex -> label path from
-        base), the paths keyed in discovery order."""
-        adj = self._adjacency()
+        """BFS tree walking each vertex's buckets in order: (set of tree
+        edge serials, vertex -> label path from base), the paths keyed in
+        discovery order."""
         tree: set[int] = set()
         path: dict[int, Word] = {self.base: ()}
         queue = [self.base]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for label, direction, idx, other in adj[v]:
-                if other not in path:
-                    path[other] = path[v] + ((label,) if direction == 0 else (-label,))
-                    tree.add(idx)
-                    queue.append(other)
+        for v in queue:
+            for far, letter, bucket in zip(self.far_ends, SLOT_LETTERS, self.buckets[v]):
+                for i in bucket:
+                    w = far[i]
+                    if w not in path:
+                        path[w] = path[v] + (letter,)
+                        tree.add(i)
+                        queue.append(w)
         return tree, path
 
     def basis_words(self) -> tuple[FreeWord, ...]:
         """One loop word per non-tree edge, in deterministic order."""
         tree, path = self.spanning_tree()
         bfs_index = {v: i for i, v in enumerate(path)}
-        nontree = [i for i in range(len(self.edges)) if i not in tree]
-        nontree.sort(key=lambda i: (bfs_index[self.edges[i].src], self.edges[i].label,
-                                    bfs_index[self.edges[i].dst], i))
-        words = []
-        for i in nontree:
-            e = self.edges[i]
-            words.append(free_reduce(path[e.src] + (e.label,) + invert_word(path[e.dst])))
-        return tuple(words)
+        src, labels, dst = self.src, self.labels, self.dst
+        nontree = [i for i, alive in enumerate(self.alive) if alive and i not in tree]
+        nontree.sort(key=lambda i: (bfs_index[src[i]], labels[i], bfs_index[dst[i]], i))
+        return tuple(free_reduce(path[src[i]] + (labels[i],) + invert_word(path[dst[i]]))
+                     for i in nontree)
 
     # -- canonical form and dump -------------------------------------------
 
@@ -235,9 +251,9 @@ def _attach_petal(aut: StallingsAutomaton, petal: int, word: FreeWord) -> None:
             fresh += 1
         mem: Word = (petal,) if last else ()
         if let > 0:
-            aut.edges.append(Edge(cur, let, nxt, mem))
+            aut._add_edge(cur, let, nxt, mem)
         else:
-            aut.edges.append(Edge(nxt, -let, cur, invert_word(mem)))
+            aut._add_edge(nxt, -let, cur, invert_word(mem))
         cur = nxt
 
 
@@ -264,16 +280,17 @@ def build_flower(words: Sequence[FreeWord]) -> StallingsAutomaton:
 # ---------------------------------------------------------------------------
 
 def _trim(aut: StallingsAutomaton) -> None:
-    """Remove hanging trees: non-basepoint vertices of total degree <= 1."""
-    while True:
-        degree: dict[int, int] = {v: 0 for v in aut.vertices()}
-        for e in aut.edges:
-            degree[e.src] += 1
-            degree[e.dst] += 1
-        dead = [v for v, d in degree.items() if d <= 1 and v != aut.base]
-        if not dead:
-            return
-        aut.edges = [e for e in aut.edges if e.src not in dead and e.dst not in dead]
+    """Remove hanging trees: non-basepoint vertices of total degree <= 1.
+
+    Only a vertex whose buckets changed since the last fold can be one."""
+    while aut.changed:
+        v = aut.changed.pop()
+        buckets = aut.buckets.get(v)
+        if v == aut.base or buckets is None or sum(map(len, buckets)) > 1:
+            continue
+        for i in sum(buckets, []):
+            aut._remove_edge(i)
+        del aut.buckets[v]
 
 
 def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[FoldStep]:
@@ -283,22 +300,9 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
     them in that order.
     """
     base = aut.base
-    src = [e.src for e in aut.edges]
-    dst = [e.dst for e in aut.edges]
-    labels = [e.label for e in aut.edges]
-    mem = [e.mem for e in aut.edges]
-    alive = [True] * len(src)
-    # vertex -> buckets [p out, p in, q out, q in] of ascending edge serials;
-    # an edge in bucket `slot` leads on to fars[slot][serial]
-    slots = range(2 * NUM_LABELS)
-    adj: dict[int, list[list[int]]] = {base: [[] for _ in slots]}
-    for i, (u, w) in enumerate(zip(src, dst)):
-        slot = 2 * labels[i] - 2
-        for v, d in ((u, 0), (w, 1)):
-            if v not in adj:
-                adj[v] = [[] for _ in slots]
-            adj[v][slot + d].append(i)
-    fars = (dst, src) * NUM_LABELS
+    src, dst, labels, mem, adj = aut.src, aut.dst, aut.labels, aut.mem, aut.buckets
+    fars = aut.far_ends
+    slots = range(len(SLOT_LETTERS))
     scan = slots if order_variant == 0 else slots[::-1]
 
     def is_dirty(v: int) -> bool:
@@ -309,12 +313,6 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             dirty.add(v)
         else:
             dirty.discard(v)
-
-    def drop(i: int) -> None:
-        alive[i] = False
-        slot = 2 * labels[i] - 2
-        adj[src[i]][slot].remove(i)
-        adj[dst[i]][slot + 1].remove(i)
 
     def path_memory(v: int) -> Word:
         """Memory product along the search tree's path base -> v."""
@@ -329,7 +327,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
                 v = dst[i]
         return free_reduce(let for part in reversed(chain) for let in part)
 
-    # one breadth-first search from the basepoint in _adjacency's order,
+    # one breadth-first search from the basepoint in spanning_tree's order,
     # resumed across fold steps: queue[:len(mark)] is processed, mark[i] is
     # len(queue) when processing queue[i] began, pos inverts queue in
     # discovery order, and via[i] is the serial of the edge that reached
@@ -381,7 +379,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
     # folding never disconnects the graph and never reaches a vertex the
     # basepoint cannot, so only reachable vertices are ever dirty; the
     # basepoint is reachable, so a search runs only if another vertex is dirty
-    dirty = {v for v in adj if is_dirty(v)}
+    dirty = {v for v in aut.changed if is_dirty(v)}
     if dirty - {base}:
         search(())
         dirty.intersection_update(pos)
@@ -415,7 +413,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             steps.append(FoldStep(True, labels[keep], relator))
             # no rewind: merge follows keep in both end buckets (module
             # docstring)
-            drop(merge)
+            aut._remove_edge(merge)
             recheck(src[merge])
             recheck(dst[merge])
             continue
@@ -432,7 +430,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             gamma = free_reduce(mem[merge] + invert_word(mem[keep]))
         inv_gamma = invert_word(gamma)
         steps.append(FoldStep(False, labels[keep]))
-        drop(merge)
+        aut._remove_edge(merge)
         # v and z change buckets and y's neighbours will reach z instead;
         # y itself lies past the rewind, as one of these discovered it
         rewind([v, z, *(far[i] for far, bucket in zip(fars, adj[y]) for i in bucket)])
@@ -453,8 +451,6 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
         recheck(z)
         if v != y:
             recheck(v)
-    aut.edges = [Edge(src[i], labels[i], dst[i], mem[i])
-                 for i in range(len(src)) if alive[i]]
     _trim(aut)
     aut.folded = True
     return steps
@@ -468,7 +464,7 @@ def fold(aut: StallingsAutomaton, _order_variant: int = 0
     steps with relator x_i.  Folding an already-folded automaton returns it
     unchanged with an empty log.
     """
-    work = aut.copy()
+    work = StallingsAutomaton(aut.base, aut.edges)
     steps = [FoldStep(True, 0, (i,)) for i in aut.trivial_petals]
     steps += _fold_in_place(work, _order_variant)
     work.trivial_petals = ()
@@ -476,10 +472,10 @@ def fold(aut: StallingsAutomaton, _order_variant: int = 0
 
 
 def stallings_membership(aut: StallingsAutomaton, word: FreeWord) -> bool:
-    """True iff the (freely reduced) word labels a closed path at the basepoint."""
+    """True iff the word, freely reduced, labels a closed path at the basepoint."""
     if not aut.folded:
         raise ValueError("membership requires a folded automaton")
-    hit = aut.trace(word)
+    hit = aut.trace(free_reduce(word))
     return hit is not None and hit[0] == aut.base
 
 

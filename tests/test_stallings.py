@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -93,6 +94,11 @@ def test_membership_on_first_example_automaton():
     for word in V43:
         assert stallings_membership(aut, word)
     assert not stallings_membership(aut, pw("q p"))
+    # unreduced words are reduced first: q p^-1 p q^-1 is trivial, though
+    # p^-1 cannot be read after q
+    assert stallings_membership(aut, (2, -1, 1, -2))
+    q_aut, _ = fold(build_flower([pw("q")]))
+    assert stallings_membership(q_aut, (1, -1))
 
 
 def test_membership_requires_folded():
@@ -190,8 +196,92 @@ def test_dump_format():
 
 
 # ---------------------------------------------------------------------------
-# reference folder: rescans the whole automaton at every step
+# reference: the automaton as a plain edge list, read and folded by
+# rescanning the whole list; it shares no traversal code with the engine
 # ---------------------------------------------------------------------------
+
+class ListAutomaton:
+    """A copy of an automaton's live edges, in order, as a mutable list."""
+
+    def __init__(self, aut):
+        self.base = aut.base
+        self.edges = list(aut.edges)
+
+    def vertices(self):
+        verts = {self.base}
+        for e in self.edges:
+            verts.add(e.src)
+            verts.add(e.dst)
+        return verts
+
+    def rank(self):
+        return len(self.edges) - (len(self.vertices()) - 1)
+
+    def _adjacency(self):
+        """vertex -> [(label, direction 0=out/1=in, edge index, other end)]."""
+        adj = {v: [] for v in self.vertices()}
+        for i, e in enumerate(self.edges):
+            adj[e.src].append((e.label, 0, i, e.dst))
+            adj[e.dst].append((e.label, 1, i, e.src))
+        for lst in adj.values():
+            lst.sort()
+        return adj
+
+    def bfs_order(self):
+        return list(self.spanning_tree()[1])
+
+    def trace(self, word):
+        out, inc = {}, {}
+        for e in self.edges:
+            out[(e.src, e.label)] = (e.dst, e)
+            inc[(e.dst, e.label)] = (e.src, e)
+        v = self.base
+        mem = []
+        for let in word:
+            hop = out.get((v, let)) if let > 0 else inc.get((v, -let))
+            if hop is None:
+                return None
+            v = hop[0]
+            mem.extend(hop[1].mem if let > 0 else invert_word(hop[1].mem))
+        return v, free_reduce(mem)
+
+    def spanning_tree(self):
+        adj = self._adjacency()
+        tree = set()
+        path = {self.base: ()}
+        queue = [self.base]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for label, direction, idx, other in adj[v]:
+                if other not in path:
+                    path[other] = path[v] + ((label,) if direction == 0 else (-label,))
+                    tree.add(idx)
+                    queue.append(other)
+        return tree, path
+
+    def basis_words(self):
+        tree, path = self.spanning_tree()
+        bfs_index = {v: i for i, v in enumerate(path)}
+        nontree = [i for i in range(len(self.edges)) if i not in tree]
+        nontree.sort(key=lambda i: (bfs_index[self.edges[i].src], self.edges[i].label,
+                                    bfs_index[self.edges[i].dst], i))
+        return tuple(free_reduce(path[self.edges[i].src] + (self.edges[i].label,)
+                                 + invert_word(path[self.edges[i].dst])) for i in nontree)
+
+    def trim(self):
+        """Remove hanging trees: non-basepoint vertices of total degree <= 1."""
+        while True:
+            degree = {v: 0 for v in self.vertices()}
+            for e in self.edges:
+                degree[e.src] += 1
+                degree[e.dst] += 1
+            dead = [v for v, d in degree.items() if d <= 1 and v != self.base]
+            if not dead:
+                return
+            self.edges = [e for e in self.edges if e.src not in dead and e.dst not in dead]
+
 
 def _ref_mem_path(aut, target):
     """Memory product along a BFS path base -> target in the current graph."""
@@ -264,12 +354,28 @@ def _ref_fold_pair(aut, direction, keep_i, merge_i, steps):
 
 
 def reference_fold_in_place(aut, order_variant=0):
+    ref = ListAutomaton(aut)
     steps = []
-    while (pair := _ref_find_foldable(aut, order_variant)) is not None:
-        _ref_fold_pair(aut, *pair, steps)
-    stallings._trim(aut)
-    aut.folded = True
+    while (pair := _ref_find_foldable(ref, order_variant)) is not None:
+        _ref_fold_pair(ref, *pair, steps)
+    ref.trim()
+    # hand the folded edge list back in the engine's representation
+    aut.__init__(aut.base, ref.edges, True, aut.trivial_petals)
     return steps
+
+
+# dump and canonical_edges read the patched bfs_order
+READERS = ("rank", "bfs_order", "trace", "basis_words")
+
+
+def use_reference(patch):
+    """Fold with the reference folder and read every automaton through
+    ListAutomaton, subgroup_presentation's reads included."""
+    patch.setattr(stallings, "_fold_in_place", reference_fold_in_place)
+    for name in READERS:
+        method = getattr(ListAutomaton, name)
+        patch.setattr(StallingsAutomaton, name,
+                      lambda aut, *args, method=method: method(ListAutomaton(aut), *args))
 
 
 def random_generator_set(rng):
@@ -330,28 +436,54 @@ def long_generator_sets(rng):
     return [shared, [t * 2, t * 3], conjugated]
 
 
-def _fold_outputs(aut):
+# every word of length at most 2, traced on each folded automaton
+SHORT_WORDS = [w for n in range(3) for w in product((1, -1, 2, -2), repeat=n)]
+
+
+def _edge_tuples(aut):
+    return [(e.src, e.label, e.dst, e.mem) for e in aut.edges]
+
+
+def _fold_outputs(aut, words):
+    """What fold and every reader give on aut, in both orders.  The readers
+    that number vertices by BFS order run only when every vertex is
+    reachable."""
+    before = _edge_tuples(aut)
     out = []
     for variant in (0, 1):
         folded, log = fold(aut, _order_variant=variant)
-        out.append(([(e.src, e.label, e.dst, e.mem) for e in folded.edges], log.steps))
+        bfs = folded.bfs_order()
+        reads = [bfs, folded.rank(), [folded.trace(w) for w in words]]
+        if len(bfs) == len(folded.vertices()):
+            reads += [folded.basis_words(), folded.dump(), folded.canonical_edges()]
+        out.append((_edge_tuples(folded), log.steps, reads))
+    assert _edge_tuples(aut) == before, "fold changed its input"
     return out
 
 
 def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
     sets = [random_generator_set(rng) for _ in range(250)] + long_generator_sets(rng)
-    automata = [build_flower(gens) for gens in sets] + [
-        # a dirty vertex the basepoint cannot reach is never folded
-        StallingsAutomaton(0, [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7)]),
-        # the only dirty vertex lies away from the basepoint: parallel loops
-        StallingsAutomaton(0, [Edge(0, 1, 1), Edge(1, 2, 1, (1,)), Edge(1, 2, 1, (2,)),
-                               Edge(1, 1, 0)]),
+    automata = [(build_flower(gens), gens + SHORT_WORDS) for gens in sets] + [
+        (StallingsAutomaton(0, edges), SHORT_WORDS) for edges in (
+            # a dirty vertex the basepoint cannot reach is never folded
+            [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7)],
+            # ... but a hanging path on that component is trimmed
+            [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7), Edge(7, 1, 8),
+             Edge(8, 2, 9)],
+            # the only dirty vertex lies away from the basepoint: parallel loops
+            [Edge(0, 1, 1), Edge(1, 2, 1, (1,)), Edge(1, 2, 1, (2,)), Edge(1, 1, 0)],
+            # parallel loops at the basepoint
+            [Edge(0, 1, 0, (1,)), Edge(0, 1, 0, (2,)), Edge(0, 2, 1, (3,)), Edge(1, 2, 0)],
+            # two q-edges fold at the basepoint, then a path hangs off it
+            [Edge(0, 1, 0), Edge(0, 2, 1), Edge(1, 1, 2), Edge(2, 2, 3), Edge(0, 2, 4, (1,)),
+             Edge(4, 1, 5)],
+        )
     ]
     with monkeypatch.context() as patch:
-        patch.setattr(stallings, "_fold_in_place", reference_fold_in_place)
-        expected = ([_fold_outputs(aut) for aut in automata],
+        use_reference(patch)
+        expected = ([_fold_outputs(*case) for case in automata],
                     [subgroup_presentation(gens) for gens in sets])
-    actual = ([_fold_outputs(aut) for aut in automata],
+    actual = ([_fold_outputs(*case) for case in automata],
               [subgroup_presentation(gens) for gens in sets])
     assert actual == expected
 
