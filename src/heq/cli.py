@@ -94,6 +94,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _matches(rendered, given) -> bool:
+    """True iff given holds the rendered JSON value; keys that only given
+    has, such as those of older report formats, are ignored."""
+    if isinstance(rendered, dict):
+        return isinstance(given, dict) and all(
+            key in given and _matches(value, given[key]) for key, value in rendered.items())
+    if isinstance(rendered, list):
+        return (isinstance(given, list) and len(given) == len(rendered)
+                and all(map(_matches, rendered, given)))
+    return type(given) is type(rendered) and given == rendered
+
+
 def cmd_verify(args) -> int:
     if args.report == "-":
         data = json.load(sys.stdin)
@@ -111,7 +123,16 @@ def cmd_verify(args) -> int:
         raise InputError(f"report has the wrong shape: {exc}") from None
     result = verify(report)
     print(result.summary())
-    return 0 if result.ok else 1
+    # verify checks the raw words; the display fields (equation texts,
+    # trivial flags, images, ...) must be what those words render to
+    rendered = report.to_dict()
+    differ = [key for key, value in rendered.items()
+              if key not in data or not _matches(value, data[key])]
+    if differ:
+        print(f"FAIL rendered fields match the report: {', '.join(differ)} differ")
+    else:
+        print(f"PASS rendered fields match the report: {len(rendered)} keys")
+    return 0 if result.ok and not differ else 1
 
 
 def cmd_oracle(args) -> int:

@@ -40,7 +40,6 @@ from .equations import (
 from .freewords import (
     FreeWord,
     format_free_word,
-    format_word,
     matrix_to_free_word,
     parse_free_word,
     parse_word,
@@ -82,7 +81,6 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         ctx = self.ctx
-        relnames = tuple(f"x{i}" for i in range(1, self.presentation.generator_count + 1))
         return {
             "h": [m.rows() for m in ctx.h_mats],
             "g": ctx.g_mat.rows(),
@@ -99,8 +97,7 @@ class AnalysisReport:
             "presentation": {
                 "generators": self.presentation.generator_count,
                 "rank": self.presentation.rank,
-                "basis": [format_free_word(b) for b in self.presentation.basis],
-                "relators": [format_word(r, relnames) for r in self.presentation.relators],
+                "relators": list(self.presentation.relator_names()),
             },
             "equations": [
                 {
@@ -132,7 +129,6 @@ class AnalysisReport:
         relnames = tuple(f"x{i}" for i in range(1, pres["generators"] + 1))
         presentation = PresentationOnGenerators(
             pres["generators"], pres["rank"],
-            tuple(parse_free_word(b) for b in pres["basis"]),
             tuple(parse_word(r, relnames) for r in pres["relators"]),
         )
         ideal_words = tuple(parse_eq_word(e["word"], ctx) for e in data["equations"])

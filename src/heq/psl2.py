@@ -114,11 +114,6 @@ def _product(factors: Iterable[Entries]) -> ProjMat2:
     return _trusted(a, b, c, d)
 
 
-def normalize(e11: int, e12: int, e21: int, e22: int) -> ProjMat2:
-    """Build the canonical representative of a raw determinant-1 matrix."""
-    return ProjMat2(e11, e12, e21, e22)
-
-
 IDENTITY = ProjMat2(1, 0, 0, 1)
 
 # The fixed generators of PSL2(Z) = C2 * C3 and the free basis of the

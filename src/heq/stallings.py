@@ -376,13 +376,9 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             del queue[n:]
             del via[n:]
 
-    # folding never disconnects the graph and never reaches a vertex the
-    # basepoint cannot, so only reachable vertices are ever dirty; the
-    # basepoint is reachable, so a search runs only if another vertex is dirty
+    # aut is connected and folding keeps it so: the search meets every
+    # dirty vertex
     dirty = {v for v in aut.changed if is_dirty(v)}
-    if dirty - {base}:
-        search(())
-        dirty.intersection_update(pos)
     steps: list[FoldStep] = []
     while dirty:
         if base in dirty:
@@ -458,13 +454,16 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
 
 def fold(aut: StallingsAutomaton, _order_variant: int = 0
          ) -> tuple[StallingsAutomaton, FoldingLog]:
-    """Fold an automaton; returns the folded copy and the step log.
+    """Fold the basepoint's component of an automaton; returns the folded
+    copy and the step log.
 
-    Trivial petals recorded by build_flower surface as immediate closed
-    steps with relator x_i.  Folding an already-folded automaton returns it
-    unchanged with an empty log.
+    Edges the basepoint cannot reach are left out of the copy.  Trivial
+    petals recorded by build_flower surface as immediate closed steps with
+    relator x_i.  Folding an already-folded automaton returns it unchanged
+    with an empty log.
     """
-    work = StallingsAutomaton(aut.base, aut.edges)
+    reached = set(aut.bfs_order())
+    work = StallingsAutomaton(aut.base, [e for e in aut.edges if e.src in reached])
     steps = [FoldStep(True, 0, (i,)) for i in aut.trivial_petals]
     steps += _fold_in_place(work, _order_variant)
     work.trivial_petals = ()
@@ -490,11 +489,11 @@ class PresentationOnGenerators:
     relators are words over abstract letters x1..xp (p = generator_count);
     substituting gens[i-1] for x_i in any relator freely reduces to the
     empty word, and the relators normally generate the kernel of x_i -> gens[i-1].
+    A free basis of <gens> is fold(build_flower(gens))[0].basis_words().
     """
 
     generator_count: int
     rank: int
-    basis: tuple[FreeWord, ...]
     relators: tuple[Word, ...]
 
     def relator_names(self) -> tuple[str, ...]:
@@ -503,7 +502,7 @@ class PresentationOnGenerators:
 
 
 def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
-    """Rank, basis and defining relators of the subgroup <gens> of F(p, q).
+    """Rank and defining relators of the subgroup <gens> of F(p, q).
 
     Petals are folded in one at a time.  A generator already readable in the
     current automaton would fold on with a single closed folding, so its
@@ -534,4 +533,4 @@ def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
     for rel in relators:
         if substitute(rel, gens):
             raise RuntimeError("relator does not evaluate to the identity")
-    return PresentationOnGenerators(len(gens), rank, aut.basis_words(), tuple(relators))
+    return PresentationOnGenerators(len(gens), rank, tuple(relators))

@@ -59,6 +59,20 @@ def test_analyze_json_verify_round_trip(capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_verify_ignores_leftover_keys(capsys, tmp_path):
+    # keys of older report formats are not display fields that can lie
+    code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
+    data = json.loads(out)
+    data["presentation"]["basis"] = ["p", "q"]
+    data["v_matrices"] = [[[1, 0], [0, 1]]]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "FAIL" not in out
+    assert "PASS rendered fields match the report" in out
+
+
 def test_verify_failure_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     data = json.loads(out)
@@ -106,8 +120,32 @@ def _forge_extra_relator_letter(data):
     pres["relators"][0] += " x13"
 
 
+# the display fields below are not read back by from_dict: verify re-renders
+# the report and compares them
+
+def _forge_equation_text(data):
+    data["equations"][0]["text"] = "x^2"
+    data["equations"][0]["matrix_form"] = "X^2"
+
+
+def _forge_trivial_flags(data):
+    data["equations"][1]["trivial"] = True
+    data["generators"][0]["trivial"] = True
+
+
+def _forge_flag_type(data):
+    # 0 == False in Python, but a JSON reader sees a number, not a flag
+    data["equations"][0]["trivial"] = 0
+
+
+def _forge_images(data):
+    data["h_images"] = [[1, 2], [0, 0]]
+
+
 @pytest.mark.parametrize("forge", [_forge_index, _forge_swapped_generators,
-                                   _forge_false_verdict, _forge_extra_relator_letter])
+                                   _forge_false_verdict, _forge_extra_relator_letter,
+                                   _forge_equation_text, _forge_trivial_flags,
+                                   _forge_flag_type, _forge_images])
 def test_verify_rejects_forged_report(capsys, tmp_path, forge):
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     data = json.loads(out)

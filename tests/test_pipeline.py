@@ -152,6 +152,18 @@ def test_from_dict_ignores_v_matrices(h1, h2):
     assert verify(restored).ok
 
 
+def test_from_dict_ignores_basis(h1, h2):
+    # reports written before presentation.basis was dropped still read back
+    # and verify; the basis is read off the folded automaton instead
+    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+    data = json.loads(json.dumps(report.to_dict()))
+    assert "basis" not in data["presentation"]
+    data["presentation"]["basis"] = ["p", "q"]
+    restored = AnalysisReport.from_dict(data)
+    assert restored.to_dict() == report.to_dict()
+    assert verify(restored).ok
+
+
 def test_verify_detects_corrupt_equation(h1, h2):
     report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
     # corrupt the first ideal generator by appending a stray h1

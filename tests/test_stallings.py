@@ -150,7 +150,8 @@ def test_presentation_cascade_collapse():
     pres = subgroup_presentation([pw("p^2"), pw("p^3")])
     assert (pres.rank, len(pres.relators)) == (1, 1)
     assert substitute_free(pres.relators[0], [pw("p^2"), pw("p^3")]) == ()
-    assert pres.basis == (pw("p"),)
+    aut, _ = fold(build_flower([pw("p^2"), pw("p^3")]))
+    assert aut.basis_words() == (pw("p"),)
 
 
 def test_presentation_random_tuples(rng):
@@ -166,7 +167,7 @@ def test_presentation_random_tuples(rng):
             assert substitute_free(rel, gens) == ()
         # the one-shot flower fold must agree on rank and closed-fold count
         aut, log = fold(build_flower(gens))
-        assert aut.rank() == pres.rank
+        assert aut.rank() == pres.rank == len(aut.basis_words())
         assert log.closed_count == len(pres.relators)
         # basis words generate: each original generator is readable
         for w in gens:
@@ -183,9 +184,24 @@ def test_presentation_random_tuples(rng):
 
 
 def test_basis_matches_matrices():
-    pres = subgroup_presentation(V43)
-    values = {pq_to_matrix(b) for b in pres.basis}
+    aut, _ = fold(build_flower(V43))
+    values = {pq_to_matrix(b) for b in aut.basis_words()}
     assert pq_to_matrix(pw("p")) in values
+
+
+def test_fold_drops_unreachable_components():
+    # fold keeps only the basepoint's component, the one the readers number
+    # and rank() should count: a 2-cycle and a figure-eight off the
+    # basepoint are dropped
+    for far in ([Edge(5, 1, 6), Edge(6, 1, 5)],
+                [Edge(5, 1, 5), Edge(5, 2, 5)]):
+        aut, log = fold(StallingsAutomaton(0, [Edge(0, 1, 0)] + far))
+        assert log.steps == ()
+        assert aut.vertices() == {0}
+        assert aut.rank() == len(aut.basis_words()) == 1
+        assert aut.basis_words() == ((1,),)
+        assert aut.dump() == "0* --p--> 0*"
+        assert aut.canonical_edges() == ((0, 1, 0),)
 
 
 def test_dump_format():
@@ -445,17 +461,13 @@ def _edge_tuples(aut):
 
 
 def _fold_outputs(aut, words):
-    """What fold and every reader give on aut, in both orders.  The readers
-    that number vertices by BFS order run only when every vertex is
-    reachable."""
+    """What fold and every reader give on aut, in both orders."""
     before = _edge_tuples(aut)
     out = []
     for variant in (0, 1):
         folded, log = fold(aut, _order_variant=variant)
-        bfs = folded.bfs_order()
-        reads = [bfs, folded.rank(), [folded.trace(w) for w in words]]
-        if len(bfs) == len(folded.vertices()):
-            reads += [folded.basis_words(), folded.dump(), folded.canonical_edges()]
+        reads = [folded.bfs_order(), folded.rank(), [folded.trace(w) for w in words],
+                 folded.basis_words(), folded.dump(), folded.canonical_edges()]
         out.append((_edge_tuples(folded), log.steps, reads))
     assert _edge_tuples(aut) == before, "fold changed its input"
     return out
@@ -465,9 +477,10 @@ def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
     sets = [random_generator_set(rng) for _ in range(250)] + long_generator_sets(rng)
     automata = [(build_flower(gens), gens + SHORT_WORDS) for gens in sets] + [
         (StallingsAutomaton(0, edges), SHORT_WORDS) for edges in (
-            # a dirty vertex the basepoint cannot reach is never folded
+            # a component the basepoint cannot reach is dropped, dirty
+            # vertex and all
             [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7)],
-            # ... but a hanging path on that component is trimmed
+            # ... and so is one with a hanging path
             [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7), Edge(7, 1, 8),
              Edge(8, 2, 9)],
             # the only dirty vertex lies away from the basepoint: parallel loops
@@ -488,8 +501,9 @@ def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
     assert actual == expected
 
 
-# sha256 of subgroup_presentation's (rank, basis, relators) and of the flower
-# fold's (steps, canonical edges), on the v-words of h = (w1, w2, w3) and
+# sha256 of (subgroup_presentation's rank, the flower fold's basis,
+# subgroup_presentation's relators) and of the flower fold's (steps,
+# canonical edges), on the v-words of h = (w1, w2, w3) and
 # g = w1 w2^-1 for 1000-letter a/b words w_i drawn from each seed.  The fold
 # order fixes both, so they must never change.
 PINNED_LONG = {
@@ -514,6 +528,6 @@ def test_long_words_pinned(seed):
     aut, log = fold(build_flower(report.v_words))
     assert len(pres.relators) == log.closed_count == 3
     digests = tuple(hashlib.sha256(repr(value).encode()).hexdigest()
-                    for value in ((pres.rank, pres.basis, pres.relators),
+                    for value in ((pres.rank, aut.basis_words(), pres.relators),
                                   (log.steps, aut.canonical_edges())))
     assert digests == PINNED_LONG[seed]
