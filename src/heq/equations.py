@@ -33,6 +33,8 @@ class HContext:
     Matrices come with their canonical a/b-word decompositions.  Each signed
     letter's matrix, entry 4-tuple and image in C2 x C3 are computed once, at
     construction, so letter and word lookups do no matrix or word arithmetic.
+    equation(word) memoizes reduce_equation, so each word is reduced at most
+    once per context, however many readers ask for its normal form.
     """
 
     h_mats: tuple[ProjMat2, ...]
@@ -42,6 +44,8 @@ class HContext:
     _matrix: dict[int, ProjMat2] = field(init=False, repr=False, compare=False)
     _entries: dict[int, Entries] = field(init=False, repr=False, compare=False)
     _image: dict[int, C2xC3] = field(init=False, repr=False, compare=False)
+    _equations: dict[EqWord, HEquation] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         matrix: dict[int, ProjMat2] = {}
@@ -94,6 +98,13 @@ class HContext:
             c2 += i2
             c3 += i3
         return C2xC3(c2 % 2, c3 % 3)
+
+    def equation(self, word: EqWord) -> HEquation:
+        """reduce_equation(word, self), reduced once per word and context."""
+        eq = self._equations.get(word)
+        if eq is None:
+            eq = self._equations[word] = reduce_equation(word, self)
+        return eq
 
 
 class HEquation:

@@ -14,7 +14,6 @@ data, re-verified against matrix arithmetic at import time.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Sequence
 
 from .psl2 import MAT_A, MAT_B, MAT_P, MAT_Q, ProjMat2, _product
@@ -80,21 +79,26 @@ def format_word(word: Word, names: tuple[str, ...]) -> str:
 
 
 def parse_word(text: str, names: tuple[str, ...]) -> Word:
-    """Parse 'q p q^-2 p^-1' style text back into a word, letter for letter."""
+    """Parse 'q p q^-2 p^-1' style text back into a word, letter for letter.
+
+    Tokens are separated by whitespace or commas; each is a name from names,
+    optionally followed by ^ and an integer exponent.  An unknown name or a
+    bad exponent raises ValueError, a text that is not a string TypeError.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"word {text!r} is not a string")
     index = {name: i + 1 for i, name in enumerate(names)}
-    alts = "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
-    token = re.compile(rf"({alts})(?:\^(-?\d+))?|[\s,]+")
-    pos = 0
     letters: list[int] = []
-    while pos < len(text):
-        mo = token.match(text, pos)
-        if mo is None or mo.end() == pos:
-            raise ValueError(f"bad word {text!r} at position {pos}")
-        if mo.group(1) is not None:
-            let = index[mo.group(1)]
-            exp = int(mo.group(2)) if mo.group(2) else 1
-            letters.extend([let if exp > 0 else -let] * abs(exp))
-        pos = mo.end()
+    for token in text.replace(",", " ").split():
+        name, caret, exp = token.partition("^")
+        let = index.get(name)
+        if let is None:
+            raise ValueError(f"unknown letter {name!r} in a word")
+        try:
+            power = int(exp) if caret else 1
+        except ValueError:
+            raise ValueError(f"bad exponent in {token!r}") from None
+        letters.extend([let if power > 0 else -let] * abs(power))
     return tuple(letters)
 
 

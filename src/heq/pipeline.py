@@ -34,9 +34,9 @@ from .equations import (
     evaluate,
     format_eq_word,
     parse_eq_word,
-    reduce_equation,
     render_equation,
 )
+from .equations import reduce_equation  # noqa: F401  perfbench traces it by this name
 from .freewords import (
     FreeWord,
     format_free_word,
@@ -57,24 +57,36 @@ VERDICT_TRANSCENDENTAL = "transcendental"
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the pipeline computed, plus enough raw data to re-check it.
+    """The raw data the pipeline computed, enough to re-check it.
 
-    v_words runs parallel to nontrivial_indices (the positions of the
-    generators that are nontrivial as equations; trivial generators stay in
-    w_words, flagged, but contribute nothing downstream).  ideal_words holds
-    one substituted relator per presentation relator, unfiltered.
+    The report stores words only.  Their normal forms (w_equations,
+    ideal_equations) and the positions of the nontrivial generators
+    (nontrivial_indices) are read through ctx.equation, which reduces each
+    word once per context.  v_words runs parallel to nontrivial_indices:
+    trivial generators stay in w_words but contribute nothing downstream.
+    ideal_words holds one substituted relator per presentation relator,
+    unfiltered.
     """
 
     ctx: HContext
     index: int
     w_words: tuple[EqWord, ...]
-    w_equations: tuple[HEquation, ...]
-    nontrivial_indices: tuple[int, ...]
     v_words: tuple[FreeWord, ...]
     presentation: PresentationOnGenerators
     ideal_words: tuple[EqWord, ...]
-    ideal_equations: tuple[HEquation, ...]
     verdict: str
+
+    @property
+    def w_equations(self) -> tuple[HEquation, ...]:
+        return tuple(map(self.ctx.equation, self.w_words))
+
+    @property
+    def nontrivial_indices(self) -> tuple[int, ...]:
+        return _nontrivial(self.w_words, self.ctx)
+
+    @property
+    def ideal_equations(self) -> tuple[HEquation, ...]:
+        return tuple(map(self.ctx.equation, self.ideal_words))
 
     def nontrivial_ideal_equations(self) -> tuple[HEquation, ...]:
         return tuple(e for e in self.ideal_equations if not e.is_trivial())
@@ -113,29 +125,35 @@ class AnalysisReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
+        """Parse and type-check a to_dict() mapping; no word is reduced."""
         h_mats = [ProjMat2(*[x for row in rows for x in row]) for rows in data["h"]]
         g_mat = ProjMat2(*[x for row in data["g"] for x in row])
         ctx = HContext(tuple(h_mats), tuple(parse_ab_word(w) for w in data["h_words"]),
                        g_mat, parse_ab_word(data["g_word"]))
         w_words = tuple(parse_eq_word(g["word"], ctx) for g in data["generators"])
-        w_equations = tuple(reduce_equation(w, ctx) for w in w_words)
-        nontrivial = tuple(i for i, eq in enumerate(w_equations) if not eq.is_trivial())
         v_words = tuple(parse_free_word(v) for v in data["v_words"])
         pres = data["presentation"]
         for key, value in (("index", data["index"]), ("generators", pres["generators"]),
                            ("rank", pres["rank"])):
             if type(value) is not int:
                 raise TypeError(f"{key} is {value!r}, not an integer")
+        # a presentation has at most one generator per Schreier generator
+        if not 0 <= pres["generators"] <= len(w_words):
+            raise ValueError(f"presentation has {pres['generators']} generators, "
+                             f"outside 0..{len(w_words)}")
         relnames = tuple(f"x{i}" for i in range(1, pres["generators"] + 1))
         presentation = PresentationOnGenerators(
             pres["generators"], pres["rank"],
             tuple(parse_word(r, relnames) for r in pres["relators"]),
         )
         ideal_words = tuple(parse_eq_word(e["word"], ctx) for e in data["equations"])
-        ideal_equations = tuple(reduce_equation(w, ctx) for w in ideal_words)
-        return cls(ctx, data["index"], w_words, w_equations, nontrivial,
-                   v_words, presentation, ideal_words,
-                   ideal_equations, data["verdict"])
+        return cls(ctx, data["index"], w_words, v_words, presentation, ideal_words,
+                   data["verdict"])
+
+
+def _nontrivial(words: Sequence[EqWord], ctx: HContext) -> tuple[int, ...]:
+    """Positions of the words that are nontrivial equations."""
+    return tuple(i for i, w in enumerate(words) if not ctx.equation(w).is_trivial())
 
 
 def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
@@ -160,12 +178,11 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     graph = equation_schreier_graph(ctx)
     index = graph.index
     w_words = subgroup_generators(graph)
-    w_equations = tuple(reduce_equation(w, ctx) for w in w_words)
     expected_count = len(ctx.letter_names) * index - (index - 1)
     if len(w_words) != expected_count:
         raise RuntimeError("generator count does not match the Schreier graph")
 
-    nontrivial = tuple(i for i, eq in enumerate(w_equations) if not eq.is_trivial())
+    nontrivial = _nontrivial(w_words, ctx)
     v_words: list[FreeWord] = []
     for i in nontrivial:
         if ctx.word_image(w_words[i]) != AB_ZERO:
@@ -182,7 +199,7 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
         substitute(rel, [w_words[i] for i in nontrivial])
         for rel in presentation.relators
     )
-    ideal_equations = tuple(reduce_equation(w, ctx) for w in ideal_words)
+    ideal_equations = tuple(map(ctx.equation, ideal_words))
     for word, eq in zip(ideal_words, ideal_equations):
         if evaluate(word, ctx) != IDENTITY or evaluate(eq, ctx) != IDENTITY:
             raise RuntimeError("ideal generator does not evaluate to the identity")
@@ -190,9 +207,8 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     verdict = (VERDICT_ALGEBRAIC
                if any(not eq.is_trivial() for eq in ideal_equations)
                else VERDICT_TRANSCENDENTAL)
-    return AnalysisReport(ctx, index, w_words, w_equations, nontrivial,
-                          tuple(v_words), presentation,
-                          ideal_words, ideal_equations, verdict)
+    return AnalysisReport(ctx, index, w_words, tuple(v_words), presentation,
+                          ideal_words, verdict)
 
 
 @dataclass(frozen=True)
@@ -226,6 +242,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
         ideal words are its relators applied to the nontrivial generators.
     """
     ctx = report.ctx
+    nontrivial = report.nontrivial_indices
     checks: list[tuple[str, bool, str]] = []
 
     bad = [i for i, w in enumerate(report.ideal_words)
@@ -242,7 +259,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
                    f"{len(report.presentation.relators)} relators" if not bad
                    else f"relators {bad} fail"))
 
-    values = [evaluate(report.w_words[i], ctx) for i in report.nontrivial_indices]
+    values = [evaluate(report.w_words[i], ctx) for i in nontrivial]
     ok = (len(values) == len(report.v_words)
           and all(pq_to_matrix(v) == m for v, m in zip(report.v_words, values)))
     checks.append(("v-words match evaluated generators", ok,
@@ -254,8 +271,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
                    f"{len(report.w_words)} generators" if not bad
                    else f"generators {bad} fail"))
 
-    algebraic = any(not reduce_equation(w, ctx).is_trivial()
-                    for w in report.ideal_words)
+    algebraic = any(not eq.is_trivial() for eq in report.ideal_equations)
     expected = VERDICT_ALGEBRAIC if algebraic else VERDICT_TRANSCENDENTAL
     checks.append(("verdict is consistent", report.verdict == expected,
                    f"verdict {report.verdict!r}, recomputed {expected!r}"))
@@ -268,7 +284,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
                    f"{len(report.w_words)} generators"))
 
     pres = report.presentation
-    ws = [report.w_words[i] for i in report.nontrivial_indices]
+    ws = [report.w_words[i] for i in nontrivial]
     fits = pres.generator_count == len(ws)
     checks.append(("relator count is #nontrivial - rank",
                    fits and len(pres.relators) == len(ws) - pres.rank,

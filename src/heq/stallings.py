@@ -162,8 +162,8 @@ class StallingsAutomaton:
     # -- traversal ---------------------------------------------------------
 
     def bfs_order(self) -> list[int]:
-        """Vertices in the discovery order of spanning_tree's search."""
-        return list(self.spanning_tree()[1])
+        """Vertices in the discovery order of the breadth-first search."""
+        return list(self._search_tree())
 
     def trace(self, word: Word) -> tuple[int, Word] | None:
         """Follow a word from the basepoint.
@@ -189,31 +189,44 @@ class StallingsAutomaton:
 
     # -- spanning tree and basis -------------------------------------------
 
-    def spanning_tree(self) -> tuple[set[int], dict[int, Word]]:
-        """BFS tree walking each vertex's buckets in order: (set of tree
-        edge serials, vertex -> label path from base), the paths keyed in
-        discovery order."""
-        tree: set[int] = set()
-        path: dict[int, Word] = {self.base: ()}
+    def _search_tree(self) -> dict[int, int]:
+        """Breadth-first search from the basepoint, walking each vertex's
+        buckets in order: vertex -> serial of the tree edge that discovered
+        it (-1 for the basepoint), keyed in discovery order."""
+        via = {self.base: -1}
         queue = [self.base]
         for v in queue:
-            for far, letter, bucket in zip(self.far_ends, SLOT_LETTERS, self.buckets[v]):
+            for far, bucket in zip(self.far_ends, self.buckets[v]):
                 for i in bucket:
                     w = far[i]
-                    if w not in path:
-                        path[w] = path[v] + (letter,)
-                        tree.add(i)
+                    if w not in via:
+                        via[w] = i
                         queue.append(w)
-        return tree, path
+        return via
 
     def basis_words(self) -> tuple[FreeWord, ...]:
         """One loop word per non-tree edge, in deterministic order."""
-        tree, path = self.spanning_tree()
-        bfs_index = {v: i for i, v in enumerate(path)}
+        via = self._search_tree()
+        bfs_index = {v: i for i, v in enumerate(via)}
         src, labels, dst = self.src, self.labels, self.dst
+
+        def path(v: int) -> Word:
+            """Label path base -> v along the tree, walked up from v."""
+            back: list[int] = []
+            while v != self.base:
+                i = via[v]
+                if dst[i] == v:
+                    back.append(labels[i])
+                    v = src[i]
+                else:
+                    back.append(-labels[i])
+                    v = dst[i]
+            return tuple(reversed(back))
+
+        tree = set(via.values())
         nontree = [i for i, alive in enumerate(self.alive) if alive and i not in tree]
         nontree.sort(key=lambda i: (bfs_index[src[i]], labels[i], bfs_index[dst[i]], i))
-        return tuple(free_reduce(path[src[i]] + (labels[i],) + invert_word(path[dst[i]]))
+        return tuple(free_reduce(path(src[i]) + (labels[i],) + invert_word(path(dst[i])))
                      for i in nontree)
 
     # -- canonical form and dump -------------------------------------------
@@ -327,7 +340,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
                 v = dst[i]
         return free_reduce(let for part in reversed(chain) for let in part)
 
-    # one breadth-first search from the basepoint in spanning_tree's order,
+    # one breadth-first search from the basepoint in bfs_order's order,
     # resumed across fold steps: queue[:len(mark)] is processed, mark[i] is
     # len(queue) when processing queue[i] began, pos inverts queue in
     # discovery order, and via[i] is the serial of the edge that reached

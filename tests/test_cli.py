@@ -177,8 +177,16 @@ def _shape_rank_not_an_integer(data):
     return data
 
 
+def _shape_too_many_presentation_generators(data):
+    # more presentation generators than Schreier generators; 10^8 would
+    # build 10^8 relator names before any check ran
+    data["presentation"]["generators"] = 10**6
+    return data
+
+
 @pytest.mark.parametrize("reshape", [_shape_bad_matrix, _shape_not_an_object,
-                                     _shape_word_not_a_string, _shape_rank_not_an_integer])
+                                     _shape_word_not_a_string, _shape_rank_not_an_integer,
+                                     _shape_too_many_presentation_generators])
 def test_verify_wrong_json_shape_exits_two(capsys, tmp_path, reshape):
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     path = tmp_path / "reshaped.json"

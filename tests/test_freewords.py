@@ -4,6 +4,7 @@ from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.words import AB_ZERO, abelianize, eval_ab, parse_ab_word, reduce_ab
 from heq.freewords import (
     NotInKernel,
+    PQ_NAMES,
     format_free_word,
     format_word,
     free_reduce,
@@ -108,5 +109,17 @@ def test_generic_word_names():
     word = parse_word("x10^-2 x1 x2^3", names)
     assert word == (-3, -3, 1, 2, 2, 2)
     assert format_word(word, names) == "x10^-2 x1 x2^3"
+    assert parse_word("x1,x2^3", names) == (1, 2, 2, 2)
+    assert parse_word(" x1 ,, x2^3\n", names) == (1, 2, 2, 2)
     with pytest.raises(ValueError):
         parse_word("x3", names)
+    # tokens are whitespace- or comma-separated: unspaced letters are one
+    # unknown name
+    with pytest.raises(ValueError):
+        parse_word("pq", PQ_NAMES)
+    with pytest.raises(ValueError):
+        parse_word("p^x", PQ_NAMES)
+    with pytest.raises(ValueError):
+        parse_word("p^", PQ_NAMES)
+    with pytest.raises(TypeError):
+        parse_word(5, names)

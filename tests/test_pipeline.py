@@ -1,8 +1,13 @@
+import dataclasses
 import json
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 
+
+import heq.equations
+import heq.pipeline
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import evaluate, parse_eq_word, reduce_equation
 from heq.freewords import parse_free_word as pw
@@ -138,6 +143,41 @@ def test_json_round_trip(h1, h2):
     restored = AnalysisReport.from_dict(json.loads(blob))
     assert restored.to_dict() == report.to_dict()
     assert verify(restored).ok
+
+
+def test_report_stores_raw_data_only():
+    assert [f.name for f in dataclasses.fields(AnalysisReport)] == [
+        "ctx", "index", "w_words", "v_words", "presentation", "ideal_words", "verdict"]
+
+
+def test_from_dict_reduces_no_word(h1, h2, monkeypatch):
+    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+    data = json.loads(json.dumps(report.to_dict()))
+
+    def refuse(word, ctx):
+        raise AssertionError("from_dict reduced a word")
+
+    monkeypatch.setattr(heq.equations, "reduce_equation", refuse)
+    monkeypatch.setattr(heq.pipeline, "reduce_equation", refuse)
+    restored = AnalysisReport.from_dict(data)
+    monkeypatch.undo()
+    assert restored.to_dict() == report.to_dict()
+
+
+@pytest.mark.parametrize("g", [ProjMat2(5, 3, 3, 2), ProjMat2(1, 0, -2, 1)])
+def test_derived_equations_are_the_reduced_words(h1, h2, g):
+    report = analyze([h1, h2], g)
+    restored = AnalysisReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    for rep in (report, restored):
+        ctx = rep.ctx
+        w_equations = tuple(reduce_equation(w, ctx) for w in rep.w_words)
+        assert rep.w_equations == w_equations
+        assert rep.nontrivial_indices == tuple(
+            i for i, eq in enumerate(w_equations) if not eq.is_trivial())
+        assert rep.ideal_equations == tuple(reduce_equation(w, ctx) for w in rep.ideal_words)
+        # each word is reduced once per context, so every read returns the
+        # same objects
+        assert all(a is b for a, b in zip(rep.w_equations, rep.w_equations))
 
 
 def test_from_dict_ignores_v_matrices(h1, h2):
