@@ -51,20 +51,19 @@ from .stallings import (
 )
 from .words import (
     ABWord,
-    C2xC3,
     abelianize,
     decompose,
     eval_ab,
     format_ab_word,
+    image_pair,
     parse_ab_word,
-    quotient_subgroup,
+    quotient_order,
     reduce_ab,
 )
 
 __all__ = [
     "ABWord",
     "AnalysisReport",
-    "C2xC3",
     "CrossCheckResult",
     "EnumerationResult",
     "EqWord",
@@ -101,6 +100,7 @@ __all__ = [
     "format_eq_word",
     "format_free_word",
     "free_reduce",
+    "image_pair",
     "invert_word",
     "matrix_to_free_word",
     "order",
@@ -108,7 +108,7 @@ __all__ = [
     "parse_eq_word",
     "parse_free_word",
     "pq_to_matrix",
-    "quotient_subgroup",
+    "quotient_order",
     "reduce_ab",
     "reduce_equation",
     "render_equation",

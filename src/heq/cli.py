@@ -19,7 +19,7 @@ from .freewords import format_free_word
 from .pipeline import AnalysisReport, analyze, equation_schreier_graph, verify
 from .psl2 import NotUnimodular, ProjMat2
 from .schreier import to_dot
-from .words import abelianize, decompose, format_ab_word
+from .words import abelianize, decompose, format_ab_word, image_pair
 
 
 class InputError(ValueError):
@@ -51,19 +51,23 @@ def _split_inputs(matrices: list[str]) -> tuple[list[ProjMat2], ProjMat2]:
     return mats[:-1], mats[-1]
 
 
+def _pi(image: int) -> str:
+    """An image in Z/6 as its (C2, C3) pair: 3 -> '(1,0)'."""
+    return "({},{})".format(*image_pair(image))
+
+
 def cmd_decompose(args) -> int:
-    m = parse_matrix(args.matrix)
-    word = decompose(m)
-    img = abelianize(word)
-    print(f"{format_ab_word(word) or '(empty)'} | pi={img}")
+    word = decompose(parse_matrix(args.matrix))
+    print(f"{format_ab_word(word) or '(empty)'} | pi={_pi(abelianize(word))}")
     return 0
 
 
 def _print_text_report(report: AnalysisReport, show_matrices: bool) -> None:
     ctx = report.ctx
     for i, (mat, word) in enumerate(zip(ctx.h_mats, ctx.h_words), start=1):
-        print(f"h{i} = {mat} = {format_ab_word(word) or '(empty)'} | pi={abelianize(word)}")
-    print(f"g  = {ctx.g_mat} = {format_ab_word(ctx.g_word) or '(empty)'} | pi={ctx.g_image()}")
+        print(f"h{i} = {mat} = {format_ab_word(word) or '(empty)'} | pi={_pi(abelianize(word))}")
+    g_word = format_ab_word(ctx.g_word) or "(empty)"
+    print(f"g  = {ctx.g_mat} = {g_word} | pi={_pi(ctx.g_image())}")
     print(f"index [H*<x> : I_H(g;F)] = {report.index}")
     print(f"generators of I_H(g;F) ({len(report.w_words)}):")
     for w, eq in zip(report.w_words, report.w_equations):

@@ -21,7 +21,7 @@ from typing import Sequence
 from .freewords import Word, format_word, parse_word
 from .freewords import substitute  # part of this module's API
 from .psl2 import IDENTITY, Entries, ProjMat2, _product
-from .words import ABWord, C2xC3, abelianize, decompose, eval_ab
+from .words import QUOTIENT_ORDER, ABWord, abelianize, decompose, eval_ab
 
 EqWord = Word
 
@@ -31,7 +31,7 @@ class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
     Matrices come with their canonical a/b-word decompositions.  Each signed
-    letter's matrix, entry 4-tuple and image in C2 x C3 are computed once, at
+    letter's matrix, entry 4-tuple and image in Z/6 are computed once, at
     construction, so letter and word lookups do no matrix or word arithmetic.
     equation(word) memoizes reduce_equation, so each word is reduced at most
     once per context, however many readers ask for its normal form.
@@ -43,20 +43,20 @@ class HContext:
     g_word: ABWord
     _matrix: dict[int, ProjMat2] = field(init=False, repr=False, compare=False)
     _entries: dict[int, Entries] = field(init=False, repr=False, compare=False)
-    _image: dict[int, C2xC3] = field(init=False, repr=False, compare=False)
+    _image: dict[int, int] = field(init=False, repr=False, compare=False)
     _equations: dict[EqWord, HEquation] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         matrix: dict[int, ProjMat2] = {}
-        image: dict[int, C2xC3] = {}
+        image: dict[int, int] = {}
         for let, (mat, word) in enumerate(zip(self.h_mats + (self.g_mat,),
                                               self.h_words + (self.g_word,)), start=1):
             if eval_ab(word) != mat:
                 raise RuntimeError(f"a/b-word of {mat} does not evaluate to it")
             matrix[let], matrix[-let] = mat, mat.inv()
             image[let] = abelianize(word)
-            image[-let] = -image[let]
+            image[-let] = -image[let] % QUOTIENT_ORDER
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_entries", {let: m.entries() for let, m in matrix.items()})
         object.__setattr__(self, "_image", image)
@@ -81,23 +81,17 @@ class HContext:
     def letter_matrix(self, let: int) -> ProjMat2:
         return self._matrix[let]
 
-    def letter_image(self, let: int) -> C2xC3:
+    def letter_image(self, let: int) -> int:
         return self._image[let]
 
-    def h_images(self) -> tuple[C2xC3, ...]:
+    def h_images(self) -> tuple[int, ...]:
         return tuple(self._image[let] for let in range(1, self.x_letter))
 
-    def g_image(self) -> C2xC3:
+    def g_image(self) -> int:
         return self._image[self.x_letter]
 
-    def word_image(self, word: EqWord) -> C2xC3:
-        image = self._image
-        c2 = c3 = 0
-        for let in word:
-            i2, i3 = image[let]
-            c2 += i2
-            c3 += i3
-        return C2xC3(c2 % 2, c3 % 3)
+    def word_image(self, word: EqWord) -> int:
+        return sum(map(self._image.__getitem__, word)) % QUOTIENT_ORDER
 
     def equation(self, word: EqWord) -> HEquation:
         """reduce_equation(word, self), reduced once per word and context."""

@@ -1,4 +1,4 @@
-"""The rank-2 free kernel F of PSL2(Z) -> C2 x C3, with basis {p, q}.
+"""The rank-2 free kernel F of PSL2(Z) -> Z/6, with basis {p, q}.
 
 Also houses the small toolkit for words over arbitrary signed alphabets that
 the rest of the package shares.  A word is a tuple of nonzero ints: letter k
@@ -6,25 +6,25 @@ the rest of the package shares.  A word is a tuple of nonzero ints: letter k
 +k, -k pair.
 
 The Reidemeister-Schreier rewriting of kernel elements into {p, q} walks the
-Schreier graph of F (the Cayley graph of C2 x C3) with the transversal
-{1, b, b^2, a, ab, ab^2} and emits one table entry per letter crossed,
-looked up one syllable at a time.  The twelve table entries are frozen
-data, re-verified against matrix arithmetic at import time.
+Schreier graph of F (the Cayley graph of Z/6, see words.abelianize) with the
+transversal {1, b, b^2, a, ab, ab^2} and emits one table entry per syllable
+crossed.  The table is derived at import time: each entry is the word among
+1, p^+-1, q^+-1 whose matrix is rep(u) s rep(us)^-1.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .psl2 import MAT_A, MAT_B, MAT_P, MAT_Q, ProjMat2, _product
-from .words import AB_ZERO, ABWord, C2xC3, IMG_A, IMG_B, abelianize, eval_ab
+from .psl2 import MAT_P, MAT_Q, ProjMat2, _product
+from .words import QUOTIENT_ORDER, SYLLABLE_IMAGE, WORD_BUDGET, ABWord, abelianize, eval_ab
 
 Word = tuple[int, ...]
 FreeWord = Word
 
 
 class NotInKernel(ValueError):
-    """Raised when a word does not abelianize to (0,0)."""
+    """Raised when a word does not abelianize to 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +82,16 @@ def parse_word(text: str, names: tuple[str, ...]) -> Word:
     """Parse 'q p q^-2 p^-1' style text back into a word, letter for letter.
 
     Tokens are separated by whitespace or commas; each is a name from names,
-    optionally followed by ^ and an integer exponent.  An unknown name or a
-    bad exponent raises ValueError, a text that is not a string TypeError.
+    optionally followed by ^ and an integer exponent.  An unknown name, a
+    bad exponent, or a word of more than WORD_BUDGET letters raises
+    ValueError (the last before any letter is built), a text that is not a
+    string TypeError.
     """
     if not isinstance(text, str):
         raise TypeError(f"word {text!r} is not a string")
     index = {name: i + 1 for i, name in enumerate(names)}
-    letters: list[int] = []
+    runs: list[tuple[int, int]] = []
+    length = 0
     for token in text.replace(",", " ").split():
         name, caret, exp = token.partition("^")
         let = index.get(name)
@@ -98,7 +101,14 @@ def parse_word(text: str, names: tuple[str, ...]) -> Word:
             power = int(exp) if caret else 1
         except ValueError:
             raise ValueError(f"bad exponent in {token!r}") from None
-        letters.extend([let if power > 0 else -let] * abs(power))
+        runs.append((let if power > 0 else -let, abs(power)))
+        length += abs(power)
+    if length > WORD_BUDGET:
+        raise ValueError(f"a word of {length} letters is over the budget of "
+                         f"{WORD_BUDGET}")
+    letters: list[int] = []
+    for let, n in runs:
+        letters.extend([let] * n)
     return tuple(letters)
 
 
@@ -130,58 +140,25 @@ def format_free_word(word: FreeWord) -> str:
 # Reidemeister-Schreier rewriting into {p, q}
 # ---------------------------------------------------------------------------
 
-# Prefix-closed transversal of F in PSL2(Z), indexed by image in C2 x C3.
-_TRANSVERSAL: dict[C2xC3, ABWord] = {
-    C2xC3(0, 0): (),
-    C2xC3(0, 1): ("b",),
-    C2xC3(0, 2): ("b2",),
-    C2xC3(1, 0): ("a",),
-    C2xC3(1, 1): ("a", "b"),
-    C2xC3(1, 2): ("a", "b2"),
+# Prefix-closed transversal of F in PSL2(Z), indexed by image in Z/6.
+_TRANSVERSAL: dict[int, ABWord] = {
+    abelianize(rep): rep
+    for rep in ((), ("b",), ("b2",), ("a",), ("a", "b"), ("a", "b2"))
 }
 
-# Schreier generator gamma(u, letter) = rep(u) letter rep(u letter)^-1, as a
-# word in {p, q}.  All b-steps and the a-steps at (0,0), (1,0) are trivial.
-_GAMMA: dict[tuple[C2xC3, str], FreeWord] = {
-    (C2xC3(0, 1), "a"): (Q,),
-    (C2xC3(0, 2), "a"): (-P,),
-    (C2xC3(1, 1), "a"): (-Q,),
-    (C2xC3(1, 2), "a"): (P,),
-}
 
-_LETTER_IMAGE = {"a": IMG_A, "b": IMG_B}
-_LETTER_MAT = {"a": MAT_A, "b": MAT_B}
-
-
-def gamma(u: C2xC3, letter: str) -> FreeWord:
-    return _GAMMA.get((u, letter), ())
-
-
-def gamma_table_self_check() -> None:
-    """Verify the 12 identities gamma(u,l) = rep(u) l rep(u l)^-1 as matrices."""
-    for u in _TRANSVERSAL:
-        for letter in ("a", "b"):
-            lhs = pq_to_matrix(gamma(u, letter))
-            target = _TRANSVERSAL[u + _LETTER_IMAGE[letter]]
-            rhs = eval_ab(_TRANSVERSAL[u]) * _LETTER_MAT[letter] * eval_ab(target).inv()
-            if lhs != rhs:
-                raise RuntimeError(f"gamma table wrong at ({u}, {letter})")
-
-
-gamma_table_self_check()
-
-
-def _syllable_steps() -> dict[tuple[C2xC3, str], tuple[FreeWord, C2xC3]]:
-    """(state, syllable) -> (gammas emitted, next state), b2 being b twice."""
+def _syllable_steps() -> dict[tuple[int, str], tuple[FreeWord, int]]:
+    """(state u, syllable s) -> (gamma, state us), gamma being the word among
+    1, p^+-1, q^+-1 whose matrix is rep(u) s rep(us)^-1."""
+    word_of = {pq_to_matrix(w): w for w in ((), (P,), (-P,), (Q,), (-Q,))}
     steps = {}
-    for u in _TRANSVERSAL:
-        for syl, letters in (("a", "a"), ("b", "b"), ("b2", "bb")):
-            out: list[int] = []
-            state = u
-            for letter in letters:
-                out.extend(gamma(state, letter))
-                state = state + _LETTER_IMAGE[letter]
-            steps[u, syl] = (tuple(out), state)
+    for u, rep in _TRANSVERSAL.items():
+        for syl, image in SYLLABLE_IMAGE.items():
+            target = (u + image) % QUOTIENT_ORDER
+            gamma = word_of.get(eval_ab(rep + (syl,)) * eval_ab(_TRANSVERSAL[target]).inv())
+            if gamma is None:
+                raise RuntimeError(f"no Schreier generator for {syl} at state {u}")
+            steps[u, syl] = (gamma, target)
     return steps
 
 
@@ -191,13 +168,13 @@ _SYLLABLE_STEP = _syllable_steps()
 def rewrite_kernel(word: ABWord) -> FreeWord:
     """Rewrite a kernel element, given as an ABWord, as a free word in {p, q}.
 
-    Raises NotInKernel if the word does not abelianize to (0,0).  The result
+    Raises NotInKernel if the word does not abelianize to 0.  The result
     is freely reduced and satisfies pq_to_matrix(result) = eval_ab(word).
     """
-    if abelianize(word) != AB_ZERO:
-        raise NotInKernel(f"word abelianizes to {abelianize(word)}, not (0,0)")
+    if abelianize(word):
+        raise NotInKernel(f"word abelianizes to {abelianize(word)} in Z/6, not 0")
     out: list[int] = []
-    state = AB_ZERO
+    state = 0
     for syl in word:
         part, state = _SYLLABLE_STEP[state, syl]
         out.extend(part)

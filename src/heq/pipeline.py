@@ -4,11 +4,11 @@ Given matrices h_1..h_s and g, decide whether g is algebraic over
 H = <h_1..h_s> and produce equations that normally generate the ideal of
 all equations g satisfies:
 
- 1. decompose the inputs into a/b-words and map them to C2 x C3;
+ 1. decompose the inputs into a/b-words and map them to C2 x C3 = Z/6;
  2. build the Schreier graph of the subgroup of H*<x> consisting of the
     equations whose value at g lies in the free kernel F.  PSL2(Z)/F is
-    C2 x C3, so this subgroup is the kernel of the letterwise map
-    H*<x> -> C2 x C3 and its graph is the Cayley graph of the image of
+    C2 x C3 = Z/6, so this subgroup is the kernel of the letterwise map
+    H*<x> -> Z/6 and its graph is the Cayley graph of the image of
     <h_1..h_s, g> on the letter images: at most 6 vertices, no matrix
     products;
  3. read the subgroup generators w_1(x)..w_p(x) off the non-tree edges;
@@ -49,7 +49,7 @@ from .freewords import (
 from .psl2 import IDENTITY, ProjMat2
 from .schreier import SchreierGraph, build_schreier, subgroup_generators
 from .stallings import PresentationOnGenerators, subgroup_presentation
-from .words import AB_ZERO, format_ab_word, parse_ab_word, quotient_subgroup
+from .words import format_ab_word, image_pair, parse_ab_word, quotient_order
 
 VERDICT_ALGEBRAIC = "algebraic"
 VERDICT_TRANSCENDENTAL = "transcendental"
@@ -98,8 +98,8 @@ class AnalysisReport:
             "g": ctx.g_mat.rows(),
             "h_words": [format_ab_word(w) for w in ctx.h_words],
             "g_word": format_ab_word(ctx.g_word),
-            "h_images": [list(img) for img in ctx.h_images()],
-            "g_image": list(ctx.g_image()),
+            "h_images": [list(image_pair(img)) for img in ctx.h_images()],
+            "g_image": list(image_pair(ctx.g_image())),
             "index": self.index,
             "generators": [
                 {"word": format_eq_word(w, ctx), "trivial": eq.is_trivial()}
@@ -159,13 +159,13 @@ def _nontrivial(words: Sequence[EqWord], ctx: HContext) -> tuple[int, ...]:
 def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
     """Coset graph of the equations whose value at g lies in the kernel F.
 
-    It is built from the letter images in C2 x C3 alone; its index is
+    It is built from the letter images in Z/6 alone; its index is
     re-checked against the order of the image of <h_1..h_s, g> computed by
-    quotient_subgroup.
+    quotient_order.
     """
     images = [ctx.letter_image(let) for let in range(1, ctx.x_letter + 1)]
     graph = build_schreier(ctx.letter_names, images)
-    order = len(quotient_subgroup(images))
+    order = quotient_order(images)
     if graph.index != order:
         raise RuntimeError(f"Schreier index {graph.index} != quotient order {order}")
     return graph
@@ -185,7 +185,7 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     nontrivial = _nontrivial(w_words, ctx)
     v_words: list[FreeWord] = []
     for i in nontrivial:
-        if ctx.word_image(w_words[i]) != AB_ZERO:
+        if ctx.word_image(w_words[i]):
             raise RuntimeError("generator value does not lie in the kernel F")
         value = evaluate(w_words[i], ctx)
         free = matrix_to_free_word(value)
@@ -233,7 +233,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
     (b) every relator uses only letters x_1..x_n for the n v-words and,
         applied to them, freely reduces to nothing;
     (c) the v-words match the evaluated generators as matrices;
-    (d) every generator's image in C2 x C3 is trivial;
+    (d) every generator's image in Z/6 is trivial;
     (e) the verdict agrees with the triviality of the ideal generators;
     (f) the index and the generators are those of the Schreier graph
         rebuilt from the context;
@@ -265,8 +265,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
     checks.append(("v-words match evaluated generators", ok,
                    f"{len(values)} values"))
 
-    bad = [i for i, w in enumerate(report.w_words)
-           if ctx.word_image(w) != AB_ZERO]
+    bad = [i for i, w in enumerate(report.w_words) if ctx.word_image(w)]
     checks.append(("generators land in the kernel", not bad,
                    f"{len(report.w_words)} generators" if not bad
                    else f"generators {bad} fail"))

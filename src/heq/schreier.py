@@ -1,9 +1,9 @@
-"""Schreier graphs of kernels of maps to C2 x C3.
+"""Schreier graphs of kernels of maps to Z/6 = C2 x C3.
 
-Letter i of the alphabet is sent to images[i-1] in the abelian group
-C2 x C3; the graph is that of the kernel of the induced map, i.e. the
-Cayley graph of the image group on the letter images.  Vertices are image
-elements, numbered in BFS discovery order (vertices, then letters, then
+Letter i of the alphabet is sent to images[i-1], an int modulo
+words.QUOTIENT_ORDER; the graph is that of the kernel of the induced map,
+i.e. the Cayley graph of the image group on the letter images.  Vertices
+are image elements, numbered in BFS discovery order (vertices, then letters, then
 +/- signs); representatives are the BFS tree words, hence a prefix-closed
 Schreier transversal.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .freewords import Word, format_word, free_reduce, invert_word
-from .words import AB_ZERO, C2xC3
+from .words import QUOTIENT_ORDER
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,20 @@ class SchreierGraph:
         return len(self.reps)
 
 
-def build_schreier(letters: Sequence[str], images: Sequence[C2xC3]) -> SchreierGraph:
+def build_schreier(letters: Sequence[str], images: Sequence[int]) -> SchreierGraph:
     """Schreier graph of the kernel of the map sending letter i to images[i-1].
 
     The edge for signed letter l leaves the vertex of element e for the
-    vertex of e + image(l) (e - image(|l|) when l < 0); an element first
-    reached that way becomes a new vertex.
+    vertex of e + image(l) (e - image(|l|) when l < 0), mod QUOTIENT_ORDER;
+    an element first reached that way becomes a new vertex.
     """
     letters = tuple(letters)
     if not letters or len(set(letters)) != len(letters):
         raise ValueError("alphabet must be nonempty with distinct letters")
     if len(images) != len(letters):
         raise ValueError(f"{len(images)} images for {len(letters)} letters")
-    elems: list[C2xC3] = [AB_ZERO]
-    vertex_of = {AB_ZERO: 0}
+    elems = [0]
+    vertex_of = {0: 0}
     reps: list[Word] = [()]
     trans: dict[tuple[int, int], int] = {}
     tree: set[tuple[int, int]] = set()
@@ -57,7 +57,7 @@ def build_schreier(letters: Sequence[str], images: Sequence[C2xC3]) -> SchreierG
     while v < len(reps):
         for letter, image in enumerate(images, start=1):
             for sl, step in ((letter, image), (-letter, -image)):
-                elem = elems[v] + step
+                elem = (elems[v] + step) % QUOTIENT_ORDER
                 target = vertex_of.get(elem)
                 if target is None:
                     target = vertex_of[elem] = len(reps)

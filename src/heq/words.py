@@ -4,12 +4,17 @@ An ABWord is the unique normal form of a group element: a tuple of syllables
 from {"a", "b", "b2"} in which no two consecutive syllables come from the
 same factor.  The empty tuple is the identity.  Because normal forms in a
 free product are unique, two elements are equal iff their ABWords are equal.
+
+The abelianization C2 x C3 is cyclic of order 6, and an image in it is an
+int modulo QUOTIENT_ORDER, with a -> 3 and b -> 4.  image_pair gives the
+(C2, C3) components that the text and JSON reports print.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from math import gcd
+from typing import Iterable
 
 from .psl2 import MAT_A, MAT_B, ProjMat2, _product
 
@@ -31,25 +36,15 @@ _MAT_S_INV = MAT_A.inv()
 WORD_BUDGET = 10**6
 
 
-class C2xC3(NamedTuple):
-    """An element of C2 x C3, the abelianization of PSL2(Z)."""
-
-    c2: int
-    c3: int
-
-    def __add__(self, other: "C2xC3") -> "C2xC3":
-        return C2xC3((self.c2 + other.c2) % 2, (self.c3 + other.c3) % 3)
-
-    def __neg__(self) -> "C2xC3":
-        return C2xC3(-self.c2 % 2, -self.c3 % 3)
-
-    def __str__(self) -> str:
-        return f"({self.c2},{self.c3})"
+# PSL2(Z) -> C2 x C3 = Z/6 on syllables: a -> 3 = (1,0), b -> 4 = (0,1)
+QUOTIENT_ORDER = 6
+SYLLABLE_IMAGE = {"a": 3, "b": 4, "b2": 2}
 
 
-AB_ZERO = C2xC3(0, 0)
-IMG_A = C2xC3(1, 0)
-IMG_B = C2xC3(0, 1)
+def image_pair(image: int) -> tuple[int, int]:
+    """The (C2, C3) components of an image in Z/6: a -> (1,0), b -> (0,1)."""
+    return image % 2, image % 3
+
 
 _LETTER_TO_SYLLABLE = {
     "a": "a",
@@ -117,9 +112,9 @@ def eval_ab(word: ABWord) -> ProjMat2:
     return _product(map(_SYLLABLE_ENTRIES.__getitem__, word))
 
 
-def abelianize(word: ABWord) -> C2xC3:
-    """Image in C2 x C3 (a -> (1,0), b -> (0,1))."""
-    return C2xC3(word.count("a") % 2, (word.count("b") + 2 * word.count("b2")) % 3)
+def abelianize(word: ABWord) -> int:
+    """Image in Z/6 (a -> 3, b -> 4)."""
+    return sum(map(SYLLABLE_IMAGE.__getitem__, word)) % QUOTIENT_ORDER
 
 
 def decompose(m: ProjMat2) -> ABWord:
@@ -167,19 +162,9 @@ def decompose(m: ProjMat2) -> ABWord:
     return word
 
 
-def quotient_subgroup(images: Iterable[C2xC3]) -> frozenset[C2xC3]:
-    """Subgroup of C2 x C3 generated by the given elements."""
-    elems = {AB_ZERO}
-    frontier = list(elems)
-    gens = list(images)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = cur + g
-            if nxt not in elems:
-                elems.add(nxt)
-                frontier.append(nxt)
-    return frozenset(elems)
+def quotient_order(images: Iterable[int]) -> int:
+    """Order of the subgroup of Z/6 generated by the given images."""
+    return QUOTIENT_ORDER // gcd(QUOTIENT_ORDER, *images)
 
 
 _AB_TOKEN = re.compile(r"b\^?2|b|a|[\s,]+")

@@ -27,6 +27,34 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
+def check_syllable_steps() -> int:
+    """Check every entry of the rewriting table freewords._SYLLABLE_STEP
+    against a transversal and letter matrices written out here, by (C2, C3)
+    pair; returns the number of entries checked.
+
+    Entry (u, s) -> (gamma, t) must have t = u + image(s) and
+    gamma = rep(u) s rep(t)^-1 as matrices, gamma one of 1, p^+-1, q^+-1.
+    """
+    from heq.freewords import _SYLLABLE_STEP, pq_to_matrix
+
+    b2 = MAT_B * MAT_B
+    reps = {
+        (0, 0): ProjMat2(1, 0, 0, 1), (0, 1): MAT_B, (0, 2): b2,
+        (1, 0): MAT_A, (1, 1): MAT_A * MAT_B, (1, 2): MAT_A * b2,
+    }
+    syllables = {"a": ((1, 0), MAT_A), "b": ((0, 1), MAT_B), "b2": ((0, 2), b2)}
+    assert {(u, s) for u, s in _SYLLABLE_STEP} == {
+        (u, s) for u in range(6) for s in syllables}
+    for (u, syl), (gamma, target) in _SYLLABLE_STEP.items():
+        (d2, d3), mat = syllables[syl]
+        c2, c3 = u % 2, u % 3
+        assert (target % 2, target % 3) == ((c2 + d2) % 2, (c3 + d3) % 3)
+        assert len(gamma) <= 1
+        expected = reps[c2, c3] * mat * reps[target % 2, target % 3].inv()
+        assert pq_to_matrix(gamma) == expected, (u, syl)
+    return len(_SYLLABLE_STEP)
+
+
 def random_matrix(rng: random.Random, max_len: int = 12) -> ProjMat2:
     """Random element of PSL2(Z) as a product of generator letters."""
     m = ProjMat2(1, 0, 0, 1)

@@ -13,14 +13,13 @@ from heq.psl2 import IDENTITY, ProjMat2
 from heq.words import decompose, format_ab_word
 from heq.freewords import (
     free_reduce,
-    gamma_table_self_check,
     invert_word,
     parse_free_word,
     parse_word,
     pq_to_matrix,
     rewrite_kernel,
 )
-from heq.words import AB_ZERO, C2xC3, abelianize, eval_ab, reduce_ab
+from heq.words import abelianize, eval_ab, reduce_ab
 from heq.equations import (
     HContext,
     evaluate,
@@ -190,24 +189,24 @@ def test_criterion_5_oracle():
 
 @criterion(6, "the kernel Schreier graph over {a, b} is the quotient Cayley graph")
 def test_criterion_6_kernel_graph():
-    images = [C2xC3(1, 0), C2xC3(0, 1)]
+    # C2 x C3 as Z/6, x <-> (x % 2, x % 3): a -> 3 = (1,0), b -> 4 = (0,1)
+    images = [3, 4]
 
     def image_of(word):
-        img = AB_ZERO
+        img = 0
         for let in word:
-            img = img + (images[abs(let) - 1] if let > 0 else -images[abs(let) - 1])
+            img = (img + (images[abs(let) - 1] if let > 0 else -images[abs(let) - 1])) % 6
         return img
 
     graph = build_schreier(("a", "b"), images)
     assert graph.index == 6
     vertex_image = {v: image_of(rep) for v, rep in enumerate(graph.reps)}
-    assert vertex_image[0] == AB_ZERO
-    assert sorted(vertex_image.values()) == sorted(
-        C2xC3(c2, c3) for c2 in range(2) for c3 in range(3))
+    assert vertex_image[0] == 0
+    assert sorted(vertex_image.values()) == list(range(6))
     for v in range(6):
         for letter, delta in ((1, images[0]), (2, images[1])):
-            assert vertex_image[graph.trans[(v, letter)]] == vertex_image[v] + delta
-            assert vertex_image[graph.trans[(v, -letter)]] == vertex_image[v] + -delta
+            assert vertex_image[graph.trans[(v, letter)]] == (vertex_image[v] + delta) % 6
+            assert vertex_image[graph.trans[(v, -letter)]] == (vertex_image[v] - delta) % 6
 
 
 @criterion(7, "randomized property suites (seed-fixed)")
@@ -219,7 +218,7 @@ def test_criterion_7_property_suites():
     done = 0
     while done < 200:
         word = reduce_ab(rng.choice(letters) for _ in range(rng.randrange(1, 30)))
-        if abelianize(word) != AB_ZERO:
+        if abelianize(word):
             continue
         assert pq_to_matrix(rewrite_kernel(word)) == eval_ab(word)
         done += 1
@@ -252,8 +251,8 @@ def test_criterion_7_property_suites():
         moved = analyze(hs, ha * g * hb)
         assert moved.verdict == report.verdict
 
-    # the 12 matrix identities behind the rewriting table
-    gamma_table_self_check()
+    # the 18 matrix identities behind the rewriting table
+    assert conftest.check_syllable_steps() == 18
 
 
 @criterion(8, "negative paths: exit codes, fault injection")

@@ -197,6 +197,33 @@ def test_verify_wrong_json_shape_exits_two(capsys, tmp_path, reshape):
     assert out == ""
 
 
+def _long_relator(data):
+    data["presentation"]["relators"][0] = "x1^2000000"
+    return data
+
+
+def _long_equation_word(data):
+    data["equations"][0]["word"] = "h1^2000000"
+    return data
+
+
+# Both words have 2*10^6 letters, over the parser's budget of 10^6, so
+# verify refuses them with exit 2 before building a letter.  Without the
+# budget the relator is built and checked within seconds and verify FAILs
+# it with exit 1; that is the case that tells the two apart quickly.  The
+# equation word would be built too, then multiplied out: h1 is hyperbolic,
+# so the entries of h1^2000000 grow to millions of digits and that check
+# runs for minutes.
+@pytest.mark.parametrize("lengthen", [_long_relator, _long_equation_word])
+def test_verify_refuses_words_over_the_budget(capsys, tmp_path, lengthen):
+    code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(lengthen(json.loads(out))))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "budget" in err
+
+
 def test_input_errors_exit_two(capsys):
     code, _, err = run(capsys, "analyze", "[[1,2],[3,4]]")
     assert code == 2 and "determinant" in err

@@ -5,13 +5,15 @@ from heq.equations import HContext, evaluate, parse_eq_word, reduce_equation
 from heq.enumeration import (BALL_BUDGET, _ball_size, _candidates, cross_check,
                              enumerate_kernel)
 from heq.pipeline import VERDICT_TRANSCENDENTAL, analyze
+from heq.words import image_pair
 
 from conftest import random_matrix, run_python
 
 
 # ---------------------------------------------------------------------------
 # reference: the depth-first search the meet-in-the-middle join replaced,
-# kept verbatim, with its pruning by the image in C2 x C3
+# kept verbatim but for reading the letter images through image_pair, with
+# its pruning by the image in C2 x C3
 
 
 def _search_tables(ctx: HContext):
@@ -24,8 +26,8 @@ def _search_tables(ctx: HContext):
     for letter in range(1, k + 1):
         for sl in (letter, -letter):
             mats.append(ctx.letter_matrix(sl).entries())
-            img = ctx.letter_image(sl)
-            deltas.append(img.c2 * 3 + img.c3)
+            c2, c3 = image_pair(ctx.letter_image(sl))
+            deltas.append(c2 * 3 + c3)
 
     def add(state: int, delta: int) -> int:
         return ((state // 3 + delta // 3) % 2) * 3 + (state % 3 + delta % 3) % 3

@@ -10,18 +10,18 @@ from heq.schreier import (
     subgroup_generators,
     to_dot,
 )
-from heq.words import AB_ZERO, C2xC3
 
 
 def image_oracle(images):
-    """Membership in the kernel of the map sending letter i to images[i-1]."""
+    """Membership in the kernel of the map sending letter i to images[i-1]
+    in Z/6."""
 
     def oracle(word: Word) -> bool:
-        img = AB_ZERO
+        img = 0
         for let in word:
             step = images[abs(let) - 1]
-            img = img + (step if let > 0 else -step)
-        return img == AB_ZERO
+            img = (img + (step if let > 0 else -step)) % 6
+        return img == 0
 
     return oracle
 
@@ -60,33 +60,35 @@ def oracle_schreier_reference(letters, oracle, index_cap):
     return SchreierGraph(letters, tuple(reps), trans, frozenset(tree))
 
 
-AB_IMAGES = [C2xC3(1, 0), C2xC3(0, 1)]
-# h1, h2, x letter images for the two worked examples
-IMAGES_43 = [C2xC3(0, 0), C2xC3(1, 0), C2xC3(0, 0)]
-IMAGES_44 = [C2xC3(0, 0), C2xC3(1, 0), C2xC3(0, 2)]
+# images in Z/6 = C2 x C3, x <-> (x % 2, x % 3): a -> 3 = (1,0), b -> 4 = (0,1)
+AB_IMAGES = [3, 4]
+# h1, h2, x letter images for the two worked examples: (0,0), (1,0), (0,0)
+# and (0,0), (1,0), (0,2)
+IMAGES_43 = [0, 3, 0]
+IMAGES_44 = [0, 3, 2]
 
 
 def word_image(images, word):
-    img = AB_ZERO
+    img = 0
     for let in word:
         step = images[abs(let) - 1]
-        img = img + (step if let > 0 else -step)
+        img = (img + (step if let > 0 else -step)) % 6
     return img
 
 
 def test_kernel_graph_is_cayley_graph_of_quotient():
     graph = build_schreier(("a", "b"), AB_IMAGES)
     assert graph.index == 6
-    # labeled based-graph isomorphism with the Cayley graph of C2 x C3:
+    # labeled based-graph isomorphism with the Cayley graph of Z/6:
     # vertices biject with the quotient via the representative images, the
     # basepoint maps to zero, and every edge matches addition
     img = {v: word_image(AB_IMAGES, rep) for v, rep in enumerate(graph.reps)}
-    assert img[0] == AB_ZERO
+    assert img[0] == 0
     assert len(set(img.values())) == 6
     for v in range(6):
         for letter, delta in ((1, AB_IMAGES[0]), (2, AB_IMAGES[1])):
-            assert img[graph.trans[(v, letter)]] == img[v] + delta
-            assert img[graph.trans[(v, -letter)]] == img[v] + -delta
+            assert img[graph.trans[(v, letter)]] == (img[v] + delta) % 6
+            assert img[graph.trans[(v, -letter)]] == (img[v] - delta) % 6
 
 
 def test_first_example_graph():
@@ -110,7 +112,7 @@ def test_second_example_graph():
 
 
 def test_bouquet_single_letter():
-    graph = build_schreier(("a",), [AB_ZERO])
+    graph = build_schreier(("a",), [0])
     assert graph.index == 1
     assert subgroup_generators(graph) == ((1,),)
 
@@ -137,9 +139,9 @@ def test_regularity_and_inverse_transitions():
 def test_coset_of_examples(rng):
     graph = build_schreier(("a", "b"), AB_IMAGES)
     assert coset_of(graph, ()) == 0
-    # the coset of ab is the vertex whose representative has image (1,1)
+    # the coset of ab is the vertex whose representative has image 1 = (1,1)
     v = coset_of(graph, (1, 2))
-    assert word_image(AB_IMAGES, graph.reps[v]) == C2xC3(1, 1)
+    assert word_image(AB_IMAGES, graph.reps[v]) == 1
     oracle = image_oracle(AB_IMAGES)
     for _ in range(100):
         word = free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(13)))
@@ -163,8 +165,8 @@ def test_bad_alphabet_rejected():
 
 
 def test_matches_oracle_reference_on_every_small_image_tuple():
-    # every tuple of 1-4 letter images over C2 x C3: 6 + 36 + 216 + 1296
-    group = [C2xC3(c2, c3) for c2 in range(2) for c3 in range(3)]
+    # every tuple of 1-4 letter images over Z/6: 6 + 36 + 216 + 1296
+    group = range(6)
     count = 0
     for n in range(1, 5):
         letters = tuple(f"l{i}" for i in range(1, n + 1))
