@@ -33,15 +33,10 @@ def parse_matrix(text: str) -> ProjMat2:
         raise InputError(f"cannot parse matrix {text!r}: {exc}") from None
     if isinstance(data, dict):
         data = data.get("m")
-    if (not isinstance(data, list) or len(data) != 2
-            or any(not isinstance(row, list) or len(row) != 2 for row in data)
-            or any(not isinstance(x, int) or isinstance(x, bool)
-                   for row in data for x in row)):
-        raise InputError(f"matrix {text!r} is not [[a,b],[c,d]] with integer entries")
     try:
-        return ProjMat2(data[0][0], data[0][1], data[1][0], data[1][1])
-    except NotUnimodular as exc:
-        raise InputError(str(exc)) from None
+        return ProjMat2.from_rows(data)
+    except TypeError as exc:
+        raise InputError(f"matrix {text!r}: {exc}") from None
 
 
 def _split_inputs(matrices: list[str]) -> tuple[list[ProjMat2], ProjMat2]:

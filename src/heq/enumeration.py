@@ -53,7 +53,6 @@ BALL_BUDGET = 500_000
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    max_len: int
     witnesses: tuple[EqWord, ...]
     backend: str = "python"  # one search path; the name stays for callers that record it
 
@@ -138,7 +137,7 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
         if not reduce_equation(word, ctx).is_trivial():
             witnesses.append(word)
     witnesses.sort(key=lambda w: (len(w), w))
-    return EnumerationResult(max_len, tuple(witnesses))
+    return EnumerationResult(tuple(witnesses))
 
 
 @dataclass(frozen=True)

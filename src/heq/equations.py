@@ -30,9 +30,10 @@ EqWord = Word
 class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
-    Matrices come with their canonical a/b-word decompositions.  Each signed
-    letter's matrix, entry 4-tuple and image in Z/6 are computed once, at
-    construction, so letter and word lookups do no matrix or word arithmetic.
+    Matrices come with their canonical a/b-word decompositions.  The letter
+    names h1..hs, x and each signed letter's matrix, entry 4-tuple and image
+    in Z/6 are computed once, at construction, so letter and word lookups do
+    no matrix or word arithmetic.
     equation(word) memoizes reduce_equation, so each word is reduced at most
     once per context, however many readers ask for its normal form.
     """
@@ -41,6 +42,7 @@ class HContext:
     h_words: tuple[ABWord, ...]
     g_mat: ProjMat2
     g_word: ABWord
+    letter_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _matrix: dict[int, ProjMat2] = field(init=False, repr=False, compare=False)
     _entries: dict[int, Entries] = field(init=False, repr=False, compare=False)
     _image: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -48,6 +50,9 @@ class HContext:
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        if len(self.h_words) != len(self.h_mats):
+            raise ValueError(f"{len(self.h_mats)} matrices h_i but "
+                             f"{len(self.h_words)} words for them")
         matrix: dict[int, ProjMat2] = {}
         image: dict[int, int] = {}
         for let, (mat, word) in enumerate(zip(self.h_mats + (self.g_mat,),
@@ -57,6 +62,8 @@ class HContext:
             matrix[let], matrix[-let] = mat, mat.inv()
             image[let] = abelianize(word)
             image[-let] = -image[let] % QUOTIENT_ORDER
+        object.__setattr__(self, "letter_names",
+                           tuple(f"h{i}" for i in range(1, self.s + 1)) + ("x",))
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_entries", {let: m.entries() for let, m in matrix.items()})
         object.__setattr__(self, "_image", image)
@@ -73,10 +80,6 @@ class HContext:
     @property
     def x_letter(self) -> int:
         return self.s + 1
-
-    @property
-    def letter_names(self) -> tuple[str, ...]:
-        return tuple(f"h{i}" for i in range(1, self.s + 1)) + ("x",)
 
     def letter_matrix(self, let: int) -> ProjMat2:
         return self._matrix[let]

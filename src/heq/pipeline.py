@@ -116,7 +116,6 @@ class AnalysisReport:
                     "word": format_eq_word(w, ctx),
                     "trivial": eq.is_trivial(),
                     "text": render_equation(eq, ctx),
-                    "matrix_form": render_equation(eq, ctx, matrices=True),
                 }
                 for w, eq in zip(self.ideal_words, self.ideal_equations)
             ],
@@ -126,10 +125,9 @@ class AnalysisReport:
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
         """Parse and type-check a to_dict() mapping; no word is reduced."""
-        h_mats = [ProjMat2(*[x for row in rows for x in row]) for rows in data["h"]]
-        g_mat = ProjMat2(*[x for row in data["g"] for x in row])
-        ctx = HContext(tuple(h_mats), tuple(parse_ab_word(w) for w in data["h_words"]),
-                       g_mat, parse_ab_word(data["g_word"]))
+        ctx = HContext(tuple(map(ProjMat2.from_rows, data["h"])),
+                       tuple(map(parse_ab_word, data["h_words"])),
+                       ProjMat2.from_rows(data["g"]), parse_ab_word(data["g_word"]))
         w_words = tuple(parse_eq_word(g["word"], ctx) for g in data["generators"])
         v_words = tuple(parse_free_word(v) for v in data["v_words"])
         pres = data["presentation"]

@@ -6,13 +6,14 @@ reading order (e11, e12, e21, e22) is positive, which makes the class
 representative unique and equality entrywise.  All entries are plain Python
 integers, so there is no overflow anywhere.
 
-Only the public constructor ProjMat2(...) checks the determinant.  Products
-and inverses are trusted: det(AB) = det A * det B = 1 and the adjugate of a
-determinant-1 matrix has determinant 1, so they are only sign-normalized.
-Every word value in the pipeline (equations.evaluate, the coefficients of
-equations.reduce_equation, words.eval_ab, freewords.pq_to_matrix) is
-multiplied out by _product over the letters' entry 4-tuples, as plain ints,
-with one sign normalization at the end.  Only the enumeration oracle keeps
+Only the public constructors ProjMat2(...) and ProjMat2.from_rows (which
+reads every JSON matrix, on the command line and in reports) check the
+determinant.  Products and inverses are trusted: det(AB) = det A * det B = 1
+and the adjugate of a determinant-1 matrix has determinant 1, so they are
+only sign-normalized.  Every word value in the pipeline (equations.evaluate,
+the coefficients of equations.reduce_equation, words.eval_ab,
+freewords.pq_to_matrix) is multiplied out by _product over the letters'
+entry 4-tuples, as plain ints, with one sign normalization at the end.  Only the enumeration oracle keeps
 its own entry arithmetic, so that it stays an independent cross-check.
 """
 
@@ -44,6 +45,21 @@ class ProjMat2:
                 f"determinant is {det}, expected 1: [[{e11},{e12}],[{e21},{e22}]]"
             )
         _fill(self, e11, e12, e21, e22)
+
+    @classmethod
+    def from_rows(cls, rows) -> "ProjMat2":
+        """The inverse of rows(): read [[e11, e12], [e21, e22]].
+
+        Raises TypeError unless rows is a list of two lists of two ints
+        (floats and bools are refused), NotUnimodular unless the
+        determinant is 1.
+        """
+        if (not isinstance(rows, list) or len(rows) != 2
+                or any(not isinstance(row, list) or len(row) != 2 for row in rows)
+                or any(type(x) is not int for row in rows for x in row)):
+            raise TypeError(f"{rows!r} is not [[a,b],[c,d]] with integer entries")
+        (e11, e12), (e21, e22) = rows
+        return cls(e11, e12, e21, e22)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjMat2 is immutable")

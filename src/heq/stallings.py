@@ -33,7 +33,8 @@ the last fold can be dirty or hanging, so a fold costs its own steps, not
 the size of the automaton.  The engine keeps the set of dirty vertices;
 only the absorbing vertex can become dirty, so each step updates the
 vertices it touches, and gauges and moves the absorbed vertex's edges only.
-The basepoint and a lone dirty vertex are taken without a search.
+A lone dirty vertex is taken without a search, and so is a dirty basepoint:
+it is the search's first vertex, which no rewind drops.
 
 Otherwise the next dirty vertex comes from one breadth-first search from the
 basepoint that lasts the whole fold and is resumed, never restarted: it
@@ -394,9 +395,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
     dirty = {v for v in aut.changed if is_dirty(v)}
     steps: list[FoldStep] = []
     while dirty:
-        if base in dirty:
-            v = base
-        elif len(dirty) == 1:
+        if len(dirty) == 1:
             v = next(iter(dirty))
         else:
             # the first dirty vertex in discovery order: among those

@@ -12,7 +12,6 @@ int modulo QUOTIENT_ORDER, with a -> 3 and b -> 4.  image_pair gives the
 
 from __future__ import annotations
 
-import re
 from math import gcd
 from typing import Iterable
 
@@ -92,21 +91,6 @@ def reduce_ab(letters: Iterable[str]) -> ABWord:
     return tuple(stack)
 
 
-def concat_ab(*words: ABWord) -> ABWord:
-    """Normal form of a concatenation of ABWords."""
-    stack: list[str] = []
-    for w in words:
-        for syl in w:
-            _push(stack, syl)
-    return tuple(stack)
-
-
-def invert_ab(word: ABWord) -> ABWord:
-    """Normal form of the inverse (a^-1 = a, b^-1 = b^2, (b^2)^-1 = b)."""
-    inv = {"a": "a", "b": "b2", "b2": "b"}
-    return tuple(inv[syl] for syl in reversed(word))
-
-
 def eval_ab(word: ABWord) -> ProjMat2:
     """Product of the generator matrices named by the word."""
     return _product(map(_SYLLABLE_ENTRIES.__getitem__, word))
@@ -167,22 +151,21 @@ def quotient_order(images: Iterable[int]) -> int:
     return QUOTIENT_ORDER // gcd(QUOTIENT_ORDER, *images)
 
 
-_AB_TOKEN = re.compile(r"b\^?2|b|a|[\s,]+")
+# the names parse_ab_word reads, and the reduce_ab letter of each signed one
+_AB_NAMES = ("a", "b", "b2")
+_AB_LETTER = {1: "a", -1: "a", 2: "b", -2: "b2", 3: "b2", -3: "b"}
 
 
 def parse_ab_word(text: str) -> ABWord:
-    """Parse 'b a b2 a' / 'bab2a' / 'b a b^2 a' into a normal-form ABWord."""
-    pos = 0
-    letters: list[str] = []
-    while pos < len(text):
-        mo = _AB_TOKEN.match(text, pos)
-        if mo is None:
-            raise ValueError(f"bad a/b word {text!r} at position {pos}")
-        tok = mo.group(0)
-        if not tok[0].isspace() and tok[0] != ",":
-            letters.append("b2" if tok.startswith("b") and tok != "b" else tok)
-        pos = mo.end()
-    return reduce_ab(letters)
+    """Parse 'b a b2 a' / 'b a b^2 a' into a normal-form ABWord.
+
+    The grammar is freewords.parse_word's over the names a, b, b2: tokens
+    separated by whitespace or commas, each with an optional integer
+    exponent, so unspaced text such as 'bab2a' is refused with ValueError.
+    """
+    from .freewords import parse_word
+
+    return reduce_ab(map(_AB_LETTER.__getitem__, parse_word(text, _AB_NAMES)))
 
 
 def format_ab_word(word: ABWord) -> str:

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from heq.cli import main, parse_matrix
+from heq.equations import render_equation
+from heq.pipeline import AnalysisReport
 from heq.psl2 import ProjMat2
 
 H1 = "[[2,-1],[-1,1]]"
@@ -65,6 +67,10 @@ def test_verify_ignores_leftover_keys(capsys, tmp_path):
     data = json.loads(out)
     data["presentation"]["basis"] = ["p", "q"]
     data["v_matrices"] = [[[1, 0], [0, 1]]]
+    # reports written before to_dict dropped it carry each equation's matrix form
+    report = AnalysisReport.from_dict(data)
+    for entry, eq in zip(data["equations"], report.ideal_equations):
+        entry["matrix_form"] = render_equation(eq, report.ctx, matrices=True)
     path = tmp_path / "old.json"
     path.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", str(path))
@@ -125,7 +131,6 @@ def _forge_extra_relator_letter(data):
 
 def _forge_equation_text(data):
     data["equations"][0]["text"] = "x^2"
-    data["equations"][0]["matrix_form"] = "X^2"
 
 
 def _forge_trivial_flags(data):
@@ -142,10 +147,17 @@ def _forge_images(data):
     data["h_images"] = [[1, 2], [0, 0]]
 
 
+def _forge_long_equation_word(data):
+    # h1^11000 has entries of over 4300 digits, more than str(int) writes:
+    # verify must FAIL it without rendering the matrix
+    data["equations"][0]["word"] = "h1^11000"
+
+
 @pytest.mark.parametrize("forge", [_forge_index, _forge_swapped_generators,
                                    _forge_false_verdict, _forge_extra_relator_letter,
                                    _forge_equation_text, _forge_trivial_flags,
-                                   _forge_flag_type, _forge_images])
+                                   _forge_flag_type, _forge_images,
+                                   _forge_long_equation_word])
 def test_verify_rejects_forged_report(capsys, tmp_path, forge):
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     data = json.loads(out)
@@ -155,11 +167,30 @@ def test_verify_rejects_forged_report(capsys, tmp_path, forge):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1
     assert "FAIL" in out
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "error:" not in err
 
 
 def _shape_bad_matrix(data):
     data["h"][0] = [[1, 2], [3]]
+    return data
+
+
+def _shape_misshaped_rows(data):
+    # the same four entries as h1, in rows of three and one
+    data["h"][0] = [[2, -1, -1], [1]]
+    return data
+
+
+def _shape_float_entry(data):
+    # 1.0 == 1 in Python, but a JSON reader sees a float, not an integer
+    data["g"][0][0] = 1.0
+    return data
+
+
+def _shape_extra_h_word(data):
+    # a third h-word with no matrix behind it, and g's word forged
+    data["h_words"].append(data["g_word"])
+    data["g_word"] = "a"
     return data
 
 
@@ -184,7 +215,9 @@ def _shape_too_many_presentation_generators(data):
     return data
 
 
-@pytest.mark.parametrize("reshape", [_shape_bad_matrix, _shape_not_an_object,
+@pytest.mark.parametrize("reshape", [_shape_bad_matrix, _shape_misshaped_rows,
+                                     _shape_float_entry, _shape_extra_h_word,
+                                     _shape_not_an_object,
                                      _shape_word_not_a_string, _shape_rank_not_an_integer,
                                      _shape_too_many_presentation_generators])
 def test_verify_wrong_json_shape_exits_two(capsys, tmp_path, reshape):

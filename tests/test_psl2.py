@@ -30,6 +30,23 @@ def test_not_unimodular_rejected(entries):
         ProjMat2(*entries)
 
 
+def test_from_rows_inverts_rows(rng):
+    for _ in range(50):
+        m = random_matrix(rng)
+        assert ProjMat2.from_rows(m.rows()) == m
+    with pytest.raises(NotUnimodular):
+        ProjMat2.from_rows([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0], [0, 1]], [[True, 0], [0, True]], [[1, "0"], [0, 1]], [[1, 0, 0], [1]],
+    [[1, 0], [0, 1], []], [[1, 0]], ((1, 0), (0, 1)), "[[1,0],[0,1]]", None,
+])
+def test_from_rows_refuses_non_integer_or_misshaped_rows(rows):
+    with pytest.raises(TypeError):
+        ProjMat2.from_rows(rows)
+
+
 def test_generator_relations():
     assert MAT_A * MAT_A == IDENTITY
     assert MAT_B * MAT_B * MAT_B == IDENTITY
