@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .psl2 import MAT_P, MAT_Q, ProjMat2, _product
-from .words import QUOTIENT_ORDER, SYLLABLE_IMAGE, WORD_BUDGET, ABWord, abelianize, eval_ab
+from .words import (QUOTIENT_ORDER, SYLLABLE_IMAGE, WORD_BUDGET, ABWord, abelianize, decompose,
+                    eval_ab)
 
 Word = tuple[int, ...]
 FreeWord = Word
@@ -183,6 +184,4 @@ def rewrite_kernel(word: ABWord) -> FreeWord:
 
 def matrix_to_free_word(m: ProjMat2) -> FreeWord:
     """Rewrite a matrix known to lie in F; NotInKernel otherwise."""
-    from .words import decompose
-
     return rewrite_kernel(decompose(m))

@@ -49,7 +49,7 @@ from .freewords import (
 from .psl2 import IDENTITY, ProjMat2
 from .schreier import SchreierGraph, build_schreier, subgroup_generators
 from .stallings import PresentationOnGenerators, subgroup_presentation
-from .words import format_ab_word, image_pair, parse_ab_word, quotient_order
+from .words import WORD_BUDGET, format_ab_word, image_pair, parse_ab_word, quotient_order
 
 VERDICT_ALGEBRAIC = "algebraic"
 VERDICT_TRANSCENDENTAL = "transcendental"
@@ -170,7 +170,11 @@ def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
 
 
 def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
-    """Run the full pipeline; see the module docstring for the steps."""
+    """Run the full pipeline; see the module docstring for the steps.
+
+    Raises ValueError when a relator or ideal word has more than
+    WORD_BUDGET letters, since verify could not read such a report back.
+    """
     ctx = HContext.from_matrices(h_mats, g_mat)
 
     graph = equation_schreier_graph(ctx)
@@ -197,6 +201,11 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
         substitute(rel, [w_words[i] for i in nontrivial])
         for rel in presentation.relators
     )
+    # a report must stay readable: verify's word parser refuses longer words
+    longest = max(map(len, presentation.relators + ideal_words), default=0)
+    if longest > WORD_BUDGET:
+        raise ValueError(f"a relator or ideal word of {longest} letters is over "
+                         f"the budget of {WORD_BUDGET}")
     ideal_equations = tuple(map(ctx.equation, ideal_words))
     for word, eq in zip(ideal_words, ideal_equations):
         if evaluate(word, ctx) != IDENTITY or evaluate(eq, ctx) != IDENTITY:

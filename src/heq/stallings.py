@@ -36,20 +36,25 @@ vertices it touches, and gauges and moves the absorbed vertex's edges only.
 A lone dirty vertex is taken without a search, and so is a dirty basepoint:
 it is the search's first vertex, which no rewind drops.
 
-Otherwise the next dirty vertex comes from one breadth-first search from the
-basepoint that lasts the whole fold and is resumed, never restarted: it
-keeps its queue, each discovered vertex's queue position and tree edge, and
-per processed vertex the queue length when its processing began.  How the
-search processes a vertex depends only on that vertex's buckets and the far
-ends of its edges, so the state before processing a vertex stays valid while
-no vertex processed earlier is touched.  An open folding at v that absorbs
-y into z touches v, z and y's neighbours, among them whichever vertex
-discovered y; the search goes back to just before the first of these it
-processed, and the next step takes the first dirty vertex it has
-discovered, or else searches on.  A closed folding touches no search state:
-the dropped edge comes after its parallel twin in both end buckets, so it
-never discovered a vertex.  A closed folding reads its path memory off the
-search tree, searching on to its target if that has not been discovered.
+Otherwise the next dirty vertex comes from the search tree below.
+
+One breadth-first search from the basepoint, _SearchTree, serves the fold
+and every reader.  It keeps its queue, each discovered vertex's queue
+position and tree edge, and per processed vertex the queue length when its
+processing began.  bfs_order lists the queue of a tree grown to the end;
+canonical_edges, dump and fold number vertices by it, and basis_words reads
+one loop per non-tree edge off the tree paths.  The fold keeps one tree for
+the whole fold and resumes it, never restarts it.  How the search processes
+a vertex depends only on that vertex's buckets and the far ends of its
+edges, so the state before processing a vertex stays valid while no vertex
+processed earlier is touched.  An open folding at v that absorbs y into z
+touches v, z and y's neighbours, among them whichever vertex discovered y;
+the tree rewinds to just before the first of these it processed, and the
+next step takes the first dirty vertex it has discovered, or else grows on.
+A closed folding touches no search state: the dropped edge comes after its
+parallel twin in both end buckets, so it never discovered a vertex.  A
+closed folding multiplies out the memories along the tree path to its
+target, growing the tree on to that target if it has not been discovered.
 """
 
 from __future__ import annotations
@@ -164,7 +169,9 @@ class StallingsAutomaton:
 
     def bfs_order(self) -> list[int]:
         """Vertices in the discovery order of the breadth-first search."""
-        return list(self._search_tree())
+        tree = _SearchTree(self)
+        tree.grow()
+        return tree.queue
 
     def trace(self, word: Word) -> tuple[int, Word] | None:
         """Follow a word from the basepoint.
@@ -190,44 +197,17 @@ class StallingsAutomaton:
 
     # -- spanning tree and basis -------------------------------------------
 
-    def _search_tree(self) -> dict[int, int]:
-        """Breadth-first search from the basepoint, walking each vertex's
-        buckets in order: vertex -> serial of the tree edge that discovered
-        it (-1 for the basepoint), keyed in discovery order."""
-        via = {self.base: -1}
-        queue = [self.base]
-        for v in queue:
-            for far, bucket in zip(self.far_ends, self.buckets[v]):
-                for i in bucket:
-                    w = far[i]
-                    if w not in via:
-                        via[w] = i
-                        queue.append(w)
-        return via
-
     def basis_words(self) -> tuple[FreeWord, ...]:
         """One loop word per non-tree edge, in deterministic order."""
-        via = self._search_tree()
-        bfs_index = {v: i for i, v in enumerate(via)}
-        src, labels, dst = self.src, self.labels, self.dst
-
-        def path(v: int) -> Word:
-            """Label path base -> v along the tree, walked up from v."""
-            back: list[int] = []
-            while v != self.base:
-                i = via[v]
-                if dst[i] == v:
-                    back.append(labels[i])
-                    v = src[i]
-                else:
-                    back.append(-labels[i])
-                    v = dst[i]
-            return tuple(reversed(back))
-
-        tree = set(via.values())
-        nontree = [i for i, alive in enumerate(self.alive) if alive and i not in tree]
-        nontree.sort(key=lambda i: (bfs_index[src[i]], labels[i], bfs_index[dst[i]], i))
-        return tuple(free_reduce(path(src[i]) + (labels[i],) + invert_word(path(dst[i])))
+        tree = _SearchTree(self)
+        tree.grow()
+        pos, src, labels, dst = tree.pos, self.src, self.labels, self.dst
+        letters = [(label,) for label in labels]
+        on_tree = set(tree.via)
+        nontree = [i for i, alive in enumerate(self.alive) if alive and i not in on_tree]
+        nontree.sort(key=lambda i: (pos[src[i]], labels[i], pos[dst[i]], i))
+        return tuple(free_reduce(tree.path(src[i], letters) + (labels[i],)
+                                 + invert_word(tree.path(dst[i], letters)))
                      for i in nontree)
 
     # -- canonical form and dump -------------------------------------------
@@ -239,17 +219,88 @@ class StallingsAutomaton:
         return tuple(sorted((index[e.src], e.label, index[e.dst]) for e in self.edges))
 
     def dump(self) -> str:
-        """One line per edge 'src --label--> dst'; the basepoint prints as *."""
-        index = {v: i for i, v in enumerate(self.bfs_order())}
-
+        """One line per edge 'src --label--> dst' of canonical_edges; the
+        basepoint, vertex 0, prints as 0*."""
         def name(v: int) -> str:
-            return f"{index[v]}*" if v == self.base else str(index[v])
+            return f"{v}*" if v == 0 else str(v)
 
-        lines = [
-            f"{name(e.src)} --{PQ_NAMES[e.label - 1]}--> {name(e.dst)}"
-            for e in sorted(self.edges, key=lambda e: (index[e.src], e.label, index[e.dst]))
-        ]
-        return "\n".join(lines)
+        return "\n".join(f"{name(src)} --{PQ_NAMES[label - 1]}--> {name(dst)}"
+                          for src, label, dst in self.canonical_edges())
+
+
+class _SearchTree:
+    """The breadth-first search from the basepoint that the module
+    docstring states, over an automaton's buckets as they stand.
+
+    queue lists the discovered vertices and pos inverts it; via[k] is the
+    serial of the edge that discovered queue[k] (-1 for the basepoint);
+    queue[:len(mark)] is processed, and mark[k] is len(queue) when
+    processing queue[k] began.
+    """
+
+    def __init__(self, aut: StallingsAutomaton):
+        self.aut = aut
+        self.queue = [aut.base]
+        self.via = [-1]
+        self.pos = {aut.base: 0}
+        self.mark: list[int] = []
+
+    def grow(self, targets: Container[int] = ()) -> int | None:
+        """Process the queue on until a vertex of targets is discovered;
+        finish that vertex and return the target (None if none is met, once
+        every vertex is processed)."""
+        queue, via, pos, mark = self.queue, self.via, self.pos, self.mark
+        adj, fars = self.aut.buckets, self.aut.far_ends
+        found = None
+        n = len(queue)
+        for v in islice(queue, len(mark), None):
+            mark.append(n)
+            for far, bucket in zip(fars, adj[v]):
+                for i in bucket:
+                    w = far[i]
+                    if w not in pos:
+                        pos[w] = n
+                        n += 1
+                        queue.append(w)
+                        via.append(i)
+                        if w in targets and found is None:
+                            found = w
+            if found is not None:
+                break
+        return found
+
+    def rewind(self, touched: Iterable[int]) -> None:
+        """Go back to the state before the first processed vertex of
+        touched, the vertices whose buckets or far ends a step changed: how
+        a vertex is processed depends on nothing else."""
+        pos, mark = self.pos, self.mark
+        k = len(mark)
+        for u in touched:
+            if pos.get(u, k) < k:
+                k = pos[u]
+        if k < len(mark):
+            n = mark[k]
+            for _ in range(n, len(self.queue)):
+                pos.popitem()
+            del mark[k:]
+            del self.queue[n:]
+            del self.via[n:]
+
+    def path(self, v: int, words: Sequence[Word]) -> Word:
+        """Product of words[serial] along the tree path base -> v, each
+        edge crossed backwards giving its inverse; freely reduced."""
+        aut = self.aut
+        base, src, dst, pos, via = aut.base, aut.src, aut.dst, self.pos, self.via
+        chain: list[Word] = []
+        while v != base:
+            i = via[pos[v]]
+            if dst[i] == v:
+                chain.append(words[i])
+                v = src[i]
+            else:
+                chain.append(invert_word(words[i]))
+                v = dst[i]
+        return free_reduce(let for part in reversed(chain) for let in part)
 
 
 def _attach_petal(aut: StallingsAutomaton, petal: int, word: FreeWord) -> None:
@@ -328,67 +379,9 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
         else:
             dirty.discard(v)
 
-    def path_memory(v: int) -> Word:
-        """Memory product along the search tree's path base -> v."""
-        chain: list[Word] = []
-        while v != base:
-            i = via[pos[v]]
-            if dst[i] == v:
-                chain.append(mem[i])
-                v = src[i]
-            else:
-                chain.append(invert_word(mem[i]))
-                v = dst[i]
-        return free_reduce(let for part in reversed(chain) for let in part)
-
-    # one breadth-first search from the basepoint in bfs_order's order,
-    # resumed across fold steps: queue[:len(mark)] is processed, mark[i] is
-    # len(queue) when processing queue[i] began, pos inverts queue in
-    # discovery order, and via[i] is the serial of the edge that reached
-    # queue[i]
-    queue = [base]
-    via = [-1]
-    pos = {base: 0}
-    mark: list[int] = []
-
-    def search(targets: Container[int]) -> int | None:
-        """Process the queue on until a vertex of targets is discovered;
-        finish that vertex and return the target (None if none is met)."""
-        found = None
-        n = len(queue)
-        for v in islice(queue, len(mark), None):
-            mark.append(n)
-            for far, bucket in zip(fars, adj[v]):
-                for i in bucket:
-                    w = far[i]
-                    if w not in pos:
-                        pos[w] = n
-                        n += 1
-                        queue.append(w)
-                        via.append(i)
-                        if w in targets and found is None:
-                            found = w
-            if found is not None:
-                break
-        return found
-
-    def rewind(touched: Iterable[int]) -> None:
-        """Go back to the search state before the first processed vertex
-        of touched, the vertices whose buckets or far ends a step changed:
-        how a vertex is processed depends on nothing else."""
-        if not mark:
-            return
-        k = len(mark)
-        for u in touched:
-            if pos.get(u, k) < k:
-                k = pos[u]
-        if k < len(mark):
-            n = mark[k]
-            for _ in range(n, len(queue)):
-                pos.popitem()
-            del mark[k:]
-            del queue[n:]
-            del via[n:]
+    # one search tree, resumed across fold steps
+    tree = _SearchTree(aut)
+    queue, pos = tree.queue, tree.pos
 
     # aut is connected and folding keeps it so: the search meets every
     # dirty vertex
@@ -401,7 +394,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             # the first dirty vertex in discovery order: among those
             # already discovered, else the next one the search meets
             first = min((pos[u] for u in dirty if u in pos), default=None)
-            v = search(dirty) if first is None else queue[first]
+            v = tree.grow(dirty) if first is None else queue[first]
         for slot in scan:
             bucket = adj[v][slot]
             if len(bucket) > 1:
@@ -412,8 +405,8 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             # around the redundant cycle, conjugated back to the basepoint
             target = src[keep]
             if target not in pos:
-                search((target,))
-            path = path_memory(target)
+                tree.grow((target,))
+            path = tree.path(target, mem)
             relator = free_reduce(path + mem[keep] + invert_word(mem[merge])
                                   + invert_word(path))
             if not relator:
@@ -441,7 +434,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
         aut._remove_edge(merge)
         # v and z change buckets and y's neighbours will reach z instead;
         # y itself lies past the rewind, as one of these discovered it
-        rewind([v, z, *(far[i] for far, bucket in zip(fars, adj[y]) for i in bucket)])
+        tree.rewind([v, z, *(far[i] for far, bucket in zip(fars, adj[y]) for i in bucket)])
         for k, (moved, into) in enumerate(zip(adj.pop(y), adj[z])):
             for i in moved:
                 if k % 2 == 0:

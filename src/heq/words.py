@@ -71,7 +71,8 @@ def _push(stack: list[str], syl: str) -> None:
         stack.pop()
         exp %= 3
         if exp:
-            _push(stack, "b" if exp == 1 else "b2")
+            # the new top is "a" or nothing, so the merged syllable stays
+            stack.append("b" if exp == 1 else "b2")
         return
     stack.append(syl)
 

@@ -274,6 +274,11 @@ def test_input_errors_exit_two(capsys):
     # [[1,10^9],[0,1]] expands to 2*10^9 a/b letters, over the word budget
     code, out, err = run(capsys, "decompose", "[[1,1000000000],[0,1]]")
     assert code == 2 and out == "" and "budget" in err
+    # over <[[1,2],[0,1]]>, g = [[1,n],[0,1]] first has an ideal word of more
+    # than 10^6 letters at n = 3466 (1000520 letters), which verify's parser
+    # would refuse; at n = 3464 the longest has 999943 letters
+    code, out, err = run(capsys, "analyze", "[[1,2],[0,1]]", "[[1,3466],[0,1]]", "--json")
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_oracle_command(capsys):
