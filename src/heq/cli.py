@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .enumeration import enumerate_kernel
 from .equations import HContext, format_eq_word, render_equation
-from .freewords import format_free_word
+from .freewords import format_free_word, format_word
 from .pipeline import AnalysisReport, analyze, equation_schreier_graph, verify
 from .psl2 import NotUnimodular, ProjMat2
 from .schreier import to_dot
@@ -152,8 +152,6 @@ def cmd_schreier(args) -> int:
     if args.dot:
         print(to_dot(graph))
     else:
-        from .freewords import format_word
-
         for v, rep in enumerate(graph.reps):
             hops = []
             for letter in range(1, len(graph.letters) + 1):

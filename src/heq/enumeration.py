@@ -45,6 +45,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .equations import EqWord, HContext, evaluate, reduce_equation
+from .pipeline import VERDICT_TRANSCENDENTAL
 from .psl2 import IDENTITY
 
 # Most words the ball may hold; a ball this size peaks under about 256 MB.
@@ -72,7 +73,7 @@ def _ball_size(nsigned: int, radius: int) -> int:
 def _ball(ctx: HContext, radius: int) -> list[dict[tuple, list[EqWord]]]:
     """layers[r] maps each value of a freely reduced word of length r,
     sign-normalized, to the words of length r with that value."""
-    letters = [(sl, ctx.letter_matrix(sl).entries())
+    letters = [(sl, tuple(ctx.letter_matrix(sl)))
                for letter in range(1, ctx.x_letter + 1) for sl in (letter, -letter)]
     layers: list[dict[tuple, list[EqWord]]] = [{(1, 0, 0, 1): [()]}]
     for _ in range(radius):
@@ -153,8 +154,6 @@ def cross_check(report, max_len: int) -> CrossCheckResult:
     A transcendental verdict fails if any witness exists; with no witness it
     is only consistent up to the explored depth, never proved.
     """
-    from .pipeline import VERDICT_TRANSCENDENTAL
-
     result = enumerate_kernel(report.ctx, max_len)
     n = len(result.witnesses)
     if report.verdict == VERDICT_TRANSCENDENTAL:

@@ -65,7 +65,7 @@ class HContext:
         object.__setattr__(self, "letter_names",
                            tuple(f"h{i}" for i in range(1, self.s + 1)) + ("x",))
         object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_entries", {let: m.entries() for let, m in matrix.items()})
+        object.__setattr__(self, "_entries", {let: tuple(m) for let, m in matrix.items()})
         object.__setattr__(self, "_image", image)
 
     @classmethod
@@ -198,9 +198,9 @@ def _provenance(part: EqWord, x: int) -> Word:
 def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
     """The matrix w(g): image under the evaluation homomorphism x -> g."""
     if isinstance(w, HEquation):
-        factors = [w.coeffs[0][0].entries()]
+        factors = [w.coeffs[0][0]]
         for sign, (mat, _) in zip(w.signs, w.coeffs[1:]):
-            factors += (ctx._entries[sign * ctx.x_letter], mat.entries())
+            factors += (ctx._matrix[sign * ctx.x_letter], mat)
         return _product(factors)
     return _product(map(ctx._entries.__getitem__, w))
 

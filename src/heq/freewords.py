@@ -120,7 +120,7 @@ def parse_word(text: str, names: tuple[str, ...]) -> Word:
 P, Q = 1, 2
 PQ_NAMES = ("p", "q")
 
-_PQ_ENTRIES = {let: m.entries() for let, m in
+_PQ_ENTRIES = {let: tuple(m) for let, m in
                ((P, MAT_P), (-P, MAT_P.inv()), (Q, MAT_Q), (-Q, MAT_Q.inv()))}
 
 

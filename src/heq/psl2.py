@@ -1,10 +1,12 @@
 """Exact arithmetic in PSL2(Z).
 
 Elements are 2x2 integer matrices of determinant 1 taken modulo the center
-{I, -I}.  Every value is stored sign-normalized: the first nonzero entry in
-reading order (e11, e12, e21, e22) is positive, which makes the class
-representative unique and equality entrywise.  All entries are plain Python
-integers, so there is no overflow anywhere.
+{I, -I}.  A ProjMat2 is the tuple (e11, e12, e21, e22) of its entries,
+stored sign-normalized: the first nonzero entry in reading order is
+positive, which makes the class representative unique, so tuple equality
+and hashing are equality and hashing in PSL2(Z), and a matrix equals the
+plain 4-tuple of its entries.  All entries are plain Python integers, so
+there is no overflow anywhere.
 
 Only the public constructors ProjMat2(...) and ProjMat2.from_rows (which
 reads every JSON matrix, on the command line and in reports) check the
@@ -13,13 +15,21 @@ and the adjugate of a determinant-1 matrix has determinant 1, so they are
 only sign-normalized.  Every word value in the pipeline (equations.evaluate,
 the coefficients of equations.reduce_equation, words.eval_ab,
 freewords.pq_to_matrix) is multiplied out by _product over the letters'
-entry 4-tuples, as plain ints, with one sign normalization at the end.  Only the enumeration oracle keeps
-its own entry arithmetic, so that it stays an independent cross-check.
+entries, as plain ints, with one sign normalization at the end.  Only the
+enumeration oracle keeps its own entry arithmetic, so that it stays an
+independent cross-check.
+
+The letter tables that _product and the oracle's ball loop over once per
+letter (HContext._entries, words._SYLLABLE_ENTRIES, freewords._PQ_ENTRIES,
+the letters of enumeration._ball) hold tuple(m), an exact tuple, not the
+ProjMat2: CPython unpacks an exact tuple faster than an instance of a tuple
+subclass.  Elsewhere matrices go to _product as they are.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable
 
 Entries = tuple[int, int, int, int]
@@ -29,22 +39,27 @@ class NotUnimodular(ValueError):
     """Raised when a raw matrix does not have determinant 1."""
 
 
-class ProjMat2:
-    """A sign-normalized element of PSL2(Z).
+class ProjMat2(tuple):
+    """A sign-normalized element of PSL2(Z): the tuple (e11, e12, e21, e22).
 
-    Immutable after construction; multiplication, inversion and equality are
-    pure functions of the four entries.
+    tuple supplies immutability, equality and hashing, so a matrix equals
+    the plain 4-tuple of its entries; e11..e22 name the four items.
     """
 
-    __slots__ = ("e11", "e12", "e21", "e22")
+    __slots__ = ()
 
-    def __init__(self, e11: int, e12: int, e21: int, e22: int):
+    def __new__(cls, e11: int, e12: int, e21: int, e22: int) -> "ProjMat2":
         det = e11 * e22 - e12 * e21
         if det != 1:
             raise NotUnimodular(
                 f"determinant is {det}, expected 1: [[{e11},{e12}],[{e21},{e22}]]"
             )
-        _fill(self, e11, e12, e21, e22)
+        return _trusted(e11, e12, e21, e22)
+
+    e11 = property(itemgetter(0))
+    e12 = property(itemgetter(1))
+    e21 = property(itemgetter(2))
+    e22 = property(itemgetter(3))
 
     @classmethod
     def from_rows(cls, rows) -> "ProjMat2":
@@ -61,69 +76,42 @@ class ProjMat2:
         (e11, e12), (e21, e22) = rows
         return cls(e11, e12, e21, e22)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjMat2 is immutable")
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.e11, self.e12, self.e21, self.e22)
-
     def rows(self) -> list[list[int]]:
-        return [[self.e11, self.e12], [self.e21, self.e22]]
+        e11, e12, e21, e22 = self
+        return [[e11, e12], [e21, e22]]
 
     def __mul__(self, other: "ProjMat2") -> "ProjMat2":
-        a, b, c, d = self.e11, self.e12, self.e21, self.e22
-        e, f, g, h = other.e11, other.e12, other.e21, other.e22
+        a, b, c, d = self
+        e, f, g, h = other
         return _trusted(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inv(self) -> "ProjMat2":
         # adjugate; determinant is 1 so no division is needed
-        return _trusted(self.e22, -self.e12, -self.e21, self.e11)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjMat2):
-            return NotImplemented
-        return (self.e11 == other.e11 and self.e12 == other.e12
-                and self.e21 == other.e21 and self.e22 == other.e22)
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
+        e11, e12, e21, e22 = self
+        return _trusted(e22, -e12, -e21, e11)
 
     def __repr__(self) -> str:
-        return f"ProjMat2({self.e11}, {self.e12}, {self.e21}, {self.e22})"
+        return "ProjMat2({}, {}, {}, {})".format(*self)
 
     def __str__(self) -> str:
-        return f"[[{self.e11},{self.e12}],[{self.e21},{self.e22}]]"
+        return "[[{},{}],[{},{}]]".format(*self)
 
 
-# slot setters: they bypass the immutability guard in ProjMat2.__setattr__
-_set_e11 = ProjMat2.e11.__set__
-_set_e12 = ProjMat2.e12.__set__
-_set_e21 = ProjMat2.e21.__set__
-_set_e22 = ProjMat2.e22.__set__
-
-
-def _fill(m: ProjMat2, e11: int, e12: int, e21: int, e22: int) -> None:
-    """Store a determinant-1 matrix in m, sign-normalized.  With determinant
-    1, e11 and e12 are never both 0, so the first nonzero entry is e11 or
-    e12."""
-    if e11 < 0 or (e11 == 0 and e12 < 0):
-        e11, e12, e21, e22 = -e11, -e12, -e21, -e22
-    _set_e11(m, e11)
-    _set_e12(m, e12)
-    _set_e21(m, e21)
-    _set_e22(m, e22)
+_new = tuple.__new__
 
 
 def _trusted(e11: int, e12: int, e21: int, e22: int) -> ProjMat2:
-    """ProjMat2 of a matrix whose determinant is 1 by construction."""
-    m = object.__new__(ProjMat2)
-    _fill(m, e11, e12, e21, e22)
-    return m
+    """ProjMat2 of a matrix whose determinant is 1 by construction,
+    sign-normalized.  With determinant 1, e11 and e12 are never both 0, so
+    the first nonzero entry is e11 or e12."""
+    if e11 < 0 or (e11 == 0 and e12 < 0):
+        return _new(ProjMat2, (-e11, -e12, -e21, -e22))
+    return _new(ProjMat2, (e11, e12, e21, e22))
 
 
 def _product(factors: Iterable[Entries]) -> ProjMat2:
-    """The product of a sequence of determinant-1 entry 4-tuples, multiplied
-    as plain ints and sign-normalized once at the end."""
+    """The product of a sequence of determinant-1 entry 4-tuples or
+    matrices, multiplied as plain ints and sign-normalized once at the end."""
     a, b, c, d = 1, 0, 0, 1
     for e, f, g, h in factors:
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h

@@ -21,8 +21,7 @@ where a vertex's edges are walked p before q, outgoing before incoming, then
 by position in the edge list.  There it takes the first such pair in the
 same (label, direction) order, the two lowest-placed edges; an open folding
 absorbs the far end of the later edge into that of the earlier one, unless
-the later one ends at the basepoint, which is never absorbed.  The
-confluence tests' order variant reverses the (label, direction) order.
+the later one ends at the basepoint, which is never absorbed.
 
 An automaton has one representation, which the fold works on in place: its
 edges by serial (src, dst, label, memory, alive), new edges taking the next
@@ -109,16 +108,14 @@ class FoldingLog:
 class StallingsAutomaton:
     """Labeled based graph, stored as the module docstring states.
 
-    Fresh flowers carry folded=False; fold() returns a folded copy with its
-    log.  Neither changes afterwards, but subgroup_presentation grows and
-    folds its own working automaton in place.
+    fold() returns a folded copy with its log.  Neither changes afterwards,
+    but subgroup_presentation grows and folds its own working automaton in
+    place.  trivial_petals lists the petals build_flower could not attach.
     """
 
-    def __init__(self, base: int, edges: Iterable[Edge], folded: bool = False,
-                 trivial_petals: tuple[int, ...] = ()):
+    def __init__(self, base: int, edges: Iterable[Edge]):
         self.base = base
-        self.folded = folded
-        self.trivial_petals = trivial_petals
+        self.trivial_petals: tuple[int, ...] = ()
         self.src: list[int] = []
         self.dst: list[int] = []
         self.labels: list[int] = []
@@ -177,8 +174,8 @@ class StallingsAutomaton:
         """Follow a word from the basepoint.
 
         Returns (end vertex, memory product along the path), or None when
-        some letter cannot be read.  Requires a folded automaton so that the
-        walk is deterministic.
+        some letter cannot be read.  Requires a deterministic automaton, such
+        as a folded one, so that the walk is unique.
         """
         v = self.base
         mem: list[int] = []
@@ -358,7 +355,7 @@ def _trim(aut: StallingsAutomaton) -> None:
         del aut.buckets[v]
 
 
-def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[FoldStep]:
+def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
     """Fold aut until it is deterministic and co-deterministic, then trim it.
 
     Takes the fold steps in the order the module docstring states; returns
@@ -367,8 +364,6 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
     base = aut.base
     src, dst, labels, mem, adj = aut.src, aut.dst, aut.labels, aut.mem, aut.buckets
     fars = aut.far_ends
-    slots = range(len(SLOT_LETTERS))
-    scan = slots if order_variant == 0 else slots[::-1]
 
     def is_dirty(v: int) -> bool:
         return max(map(len, adj[v])) > 1
@@ -395,8 +390,7 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
             # already discovered, else the next one the search meets
             first = min((pos[u] for u in dirty if u in pos), default=None)
             v = tree.grow(dirty) if first is None else queue[first]
-        for slot in scan:
-            bucket = adj[v][slot]
+        for slot, bucket in enumerate(adj[v]):
             if len(bucket) > 1:
                 break
         keep, merge = bucket[0], bucket[1]
@@ -453,12 +447,10 @@ def _fold_in_place(aut: StallingsAutomaton, order_variant: int = 0) -> list[Fold
         if v != y:
             recheck(v)
     _trim(aut)
-    aut.folded = True
     return steps
 
 
-def fold(aut: StallingsAutomaton, _order_variant: int = 0
-         ) -> tuple[StallingsAutomaton, FoldingLog]:
+def fold(aut: StallingsAutomaton) -> tuple[StallingsAutomaton, FoldingLog]:
     """Fold the basepoint's component of an automaton; returns the folded
     copy and the step log.
 
@@ -470,15 +462,16 @@ def fold(aut: StallingsAutomaton, _order_variant: int = 0
     reached = set(aut.bfs_order())
     work = StallingsAutomaton(aut.base, [e for e in aut.edges if e.src in reached])
     steps = [FoldStep(True, 0, (i,)) for i in aut.trivial_petals]
-    steps += _fold_in_place(work, _order_variant)
-    work.trivial_petals = ()
+    steps += _fold_in_place(work)
     return work, FoldingLog(tuple(steps))
 
 
 def stallings_membership(aut: StallingsAutomaton, word: FreeWord) -> bool:
-    """True iff the word, freely reduced, labels a closed path at the basepoint."""
-    if not aut.folded:
-        raise ValueError("membership requires a folded automaton")
+    """True iff the word, freely reduced, labels a closed path at the
+    basepoint.  Raises ValueError unless aut is deterministic: no bucket
+    holds two edges."""
+    if any(len(bucket) > 1 for buckets in aut.buckets.values() for bucket in buckets):
+        raise ValueError("membership requires a deterministic automaton")
     hit = aut.trace(free_reduce(word))
     return hit is not None and hit[0] == aut.base
 
@@ -517,7 +510,7 @@ def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
     is attached and folded for real, which may cascade.
     """
     relators: list[Word] = []
-    aut = StallingsAutomaton(0, [], folded=True)
+    aut = StallingsAutomaton(0, [])
     for petal, word in enumerate(gens, start=1):
         word = free_reduce(word)
         if not word:

@@ -20,7 +20,7 @@ from .psl2 import MAT_A, MAT_B, ProjMat2, _product
 ABWord = tuple[str, ...]
 
 _MAT_B2 = MAT_B * MAT_B
-_SYLLABLE_ENTRIES = {"a": MAT_A.entries(), "b": MAT_B.entries(), "b2": _MAT_B2.entries()}
+_SYLLABLE_ENTRIES = {"a": tuple(MAT_A), "b": tuple(MAT_B), "b2": tuple(_MAT_B2)}
 
 # Translation matrix T = b*a = [[1,1],[0,1]]; used by decompose().  The
 # identity T = ba is re-verified at import time right below.

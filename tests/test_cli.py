@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -59,6 +62,15 @@ def test_analyze_json_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_reads_report_from_stdin(capsys, monkeypatch):
+    code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 0 and err == ""
+    assert out.count("PASS") == 10 and "FAIL" not in out
 
 
 def test_verify_ignores_leftover_keys(capsys, tmp_path):
@@ -301,3 +313,65 @@ def test_schreier_command(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert "style=bold" in out
+
+
+# sha256 of each command's stdout on the two worked examples and on a
+# parabolic pair; decompose is run on every matrix of the context in turn
+PINNED_CONTEXTS = {
+    "transcendental": (H1, H2, G43),
+    "algebraic": (H1, H2, G44),
+    "parabolic": ("[[1,2],[0,1]]", "[[1,300],[0,1]]"),
+}
+PINNED_COMMANDS = {
+    "analyze": ("analyze",),
+    "analyze --show-matrices": ("analyze", "--show-matrices"),
+    "analyze --json": ("analyze", "--json"),
+    "schreier": ("schreier",),
+    "schreier --dot": ("schreier", "--dot"),
+}
+PINNED_DIGESTS = {
+    "transcendental": {
+        "analyze": "f7581a1e81f6471fc7753c2fe99ff62e615ca8f952b632068e99a6a3cf343b6a",
+        "analyze --show-matrices": "f7581a1e81f6471fc7753c2fe99ff62e615ca8f952b632068e99a6a3cf343b6a",
+        "analyze --json": "f1c26abe41b3b5753f89234bd98deba3608d8b3245f47377ed8886c64cc57cc0",
+        "schreier": "46d0364ec3e57cf6a4e4d9d86766a0602f99bd683805384582a5368de5f0ecf1",
+        "schreier --dot": "528fe65cae17e090a013478ce84fcebffcbdff389cb6141078e9963e69578bf2",
+        "decompose": "a7b6907db6491055eed547acd9f2fef9f8f20e078de45237eb4d16e59d1a8b0b",
+    },
+    "algebraic": {
+        "analyze": "10b79ac79ff10927b9cac0eaf0412302b80cbf5e23fc20fe72551ff615f7aac1",
+        "analyze --show-matrices": "c311163579682a4d3243317c85761475b56fe89bb8687980c607d8edadd3ecaa",
+        "analyze --json": "380a0014883a527696ab53c9f341cc59e2827ace2685a3b20d801af6238149e4",
+        "schreier": "1ec8f43da92aa796dc9e3e1d6c21743cf1c3b52b80c1fd95364a900371b7057e",
+        "schreier --dot": "744e0b894e94b5c25a4a0af018aecd0ff1bedafaa1da8137f5ed4c0c736a14b1",
+        "decompose": "b4c819eeb61efb093a611587d3f96a15e20e8d2f651f7220a123f440219f419c",
+    },
+    "parabolic": {
+        "analyze": "22baa6495202307bbd61b14e557a37e14f2ae1de1d801b4a8955bb3b6e2b3bfd",
+        "analyze --show-matrices": "1c246a9319a2277c0196a9046e7010f198e3209bdb144a4e3fe2d8c4b091794f",
+        "analyze --json": "6d197d50d6f207ab641cf52f8c990a2342d6703f2c757066a7c596e67515771a",
+        "schreier": "29c10680326d2e820f88e993df12f1feb98369fdce9bc9525d0b336da670f149",
+        "schreier --dot": "32d864b4207be43c2480f6d3c649971aca61f63b8b0b31d179689cd74b9544b0",
+        "decompose": "f03e2997b9a86793cb348692965602773a34ab7a91eacb6f9eb0f274de9ea9c8",
+    },
+}
+
+
+def _output_digests(capsys, matrices):
+    digests = {}
+    for name, command in PINNED_COMMANDS.items():
+        code, out, err = run(capsys, *command, *matrices)
+        assert code == 0 and err == ""
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    outs = []
+    for matrix in matrices:
+        code, out, err = run(capsys, "decompose", matrix)
+        assert code == 0 and err == ""
+        outs.append(out)
+    digests["decompose"] = hashlib.sha256("".join(outs).encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("context", sorted(PINNED_CONTEXTS))
+def test_cli_output_is_pinned(capsys, context):
+    assert _output_digests(capsys, PINNED_CONTEXTS[context]) == PINNED_DIGESTS[context]

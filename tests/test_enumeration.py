@@ -25,7 +25,7 @@ def _search_tables(ctx: HContext):
     deltas = []
     for letter in range(1, k + 1):
         for sl in (letter, -letter):
-            mats.append(ctx.letter_matrix(sl).entries())
+            mats.append(tuple(ctx.letter_matrix(sl)))
             c2, c3 = image_pair(ctx.letter_image(sl))
             deltas.append(c2 * 3 + c3)
 
@@ -109,7 +109,7 @@ def _power(m: ProjMat2, k: int) -> ProjMat2:
 def _seeded_contexts(rng) -> list[tuple[HContext, int]]:
     """(context, max_len): random ones with s = 1..3, then the edge cases."""
     big = _power(ProjMat2(3, 1, -1, 0), 50)
-    assert max(abs(e) for e in big.entries()) > 2 ** 64
+    assert max(abs(e) for e in big) > 2 ** 64
     cases = []
     for i in range(32):
         s = 1 + i % 3
@@ -206,6 +206,11 @@ def test_cross_check_consistent(h1, h2, ctx_43, ctx_44):
     assert "consistent up to" in res43.detail
     res44 = cross_check(rep44, 10)
     assert res44.passed and res44.witness_count >= 1
+    # the shortest witness of the second example has length 6
+    res44 = cross_check(rep44, 5)
+    assert res44.passed and res44.witness_count == 0
+    assert res44.detail == "algebraic verdict; no witness within length 5"
+    assert cross_check(rep44, 6).witness_count == 4
 
 
 def test_cross_check_catches_fault(h1, h2):

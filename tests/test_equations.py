@@ -133,8 +133,8 @@ def test_entry_products_match_object_reference(ctx_43, rng):
             assert eq.coeffs == ref.coeffs and eq.signs == ref.signs, word
             assert render_equation(eq, ctx) == render_equation(ref, ctx)
             value = evaluate(word, ctx)
-            assert value.entries() == evaluate_reference(word, ctx).entries()
-            assert evaluate(eq, ctx).entries() == evaluate_reference(eq, ctx).entries()
+            assert tuple(value) == tuple(evaluate_reference(word, ctx))
+            assert tuple(evaluate(eq, ctx)) == tuple(evaluate_reference(eq, ctx))
             as_list = reduce_equation(list(word), ctx)
             assert as_list.coeffs == eq.coeffs and as_list.signs == eq.signs
             assert evaluate(list(word), ctx) == value

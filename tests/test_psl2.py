@@ -17,11 +17,11 @@ def test_normalize_identity_class():
 def test_normalize_sign_rule():
     # (0,-1,1,0) and its negation name the same element
     assert ProjMat2(0, -1, 1, 0) == ProjMat2(0, 1, -1, 0)
-    assert ProjMat2(0, -1, 1, 0).entries() == (0, 1, -1, 0)
+    assert tuple(ProjMat2(0, -1, 1, 0)) == (0, 1, -1, 0)
 
 
 def test_normalize_keeps_positive_leading():
-    assert ProjMat2(2, 1, 1, 1).entries() == (2, 1, 1, 1)
+    assert tuple(ProjMat2(2, 1, 1, 1)) == (2, 1, 1, 1)
 
 
 @pytest.mark.parametrize("entries", [(1, 2, 3, 4), (1, 0, 0, -1), (2, 0, 0, 2)])
@@ -53,21 +53,21 @@ def test_generator_relations():
 
 
 def test_pq_do_not_commute():
-    assert (MAT_P * MAT_Q).entries() == (3, 1, -1, 0)
-    assert (MAT_Q * MAT_P).entries() == (3, -1, 1, 0)
+    assert tuple(MAT_P * MAT_Q) == (3, 1, -1, 0)
+    assert tuple(MAT_Q * MAT_P) == (3, -1, 1, 0)
     assert MAT_P * MAT_Q != MAT_Q * MAT_P
 
 
 def test_inv_examples():
     assert IDENTITY.inv() == IDENTITY
-    assert ProjMat2(2, -1, -1, 1).inv().entries() == (1, 1, 1, 2)
+    assert tuple(ProjMat2(2, -1, -1, 1).inv()) == (1, 1, 1, 2)
 
 
 def test_inv_matches_adjugate(rng):
     # independent oracle: the adjugate of a determinant-1 matrix is its inverse
     for _ in range(50):
         m = random_matrix(rng)
-        a, b, c, d = m.entries()
+        a, b, c, d = tuple(m)
         assert m.inv() == ProjMat2(d, -b, -c, a)
         assert m * m.inv() == IDENTITY
         assert m.inv() * m == IDENTITY
@@ -79,11 +79,11 @@ def test_trusted_results_match_checked_constructor(rng):
     shapes = Counter()
     for _ in range(400):
         m, n = random_matrix(rng), random_matrix(rng)
-        a, b, c, d = m.entries()
-        e, f, g, h = n.entries()
+        a, b, c, d = tuple(m)
+        e, f, g, h = tuple(n)
         raw = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        assert (m * n).entries() == ProjMat2(*raw).entries()
-        assert m.inv().entries() == ProjMat2(d, -b, -c, a).entries()
+        assert tuple(m * n) == tuple(ProjMat2(*raw))
+        assert tuple(m.inv()) == tuple(ProjMat2(d, -b, -c, a))
         if raw[0] == 0:
             shapes["e11 zero, e12 negative" if raw[1] < 0 else "e11 zero"] += 1
         elif raw[0] < 0 and raw[1] < 0:
@@ -100,9 +100,9 @@ def test_product_of_entries_matches_object_products(rng):
         for m in mats:
             want = want * m
         # any sign of a factor names the same element
-        factors = [tuple(-x for x in m.entries()) if rng.random() < 0.5 else m.entries()
+        factors = [tuple(-x for x in m) if rng.random() < 0.5 else tuple(m)
                    for m in mats]
-        assert _product(factors).entries() == want.entries()
+        assert tuple(_product(factors)) == tuple(want)
     assert _product([]) == IDENTITY
 
 
@@ -139,7 +139,7 @@ def test_associativity_spot_check(rng):
 def test_normalization_idempotent(rng):
     for _ in range(50):
         m = random_matrix(rng)
-        assert ProjMat2(*m.entries()) == m
+        assert ProjMat2(*m) == m
 
 
 def test_hashable_and_immutable():
@@ -147,3 +147,21 @@ def test_hashable_and_immutable():
     assert hash(m) == hash(ProjMat2(-2, -1, -1, -1))
     with pytest.raises(AttributeError):
         m.e11 = 5
+
+
+def test_matrix_is_its_entry_tuple():
+    m = ProjMat2(-2, -1, -1, -1)
+    assert isinstance(m, tuple) and m == (2, 1, 1, 1)
+    assert (m.e11, m.e12, m.e21, m.e22) == tuple(m) == (2, 1, 1, 1)
+    assert type(tuple(m)) is tuple
+    assert ProjMat2.from_rows(m.rows()) == m
+
+
+def test_letter_tables_hold_exact_tuples():
+    from heq.equations import HContext
+    from heq.freewords import _PQ_ENTRIES
+    from heq.words import _SYLLABLE_ENTRIES
+
+    ctx = HContext.from_matrices([MAT_P, MAT_Q], MAT_P * MAT_Q)
+    for table in (ctx._entries, _PQ_ENTRIES, _SYLLABLE_ENTRIES):
+        assert all(type(entries) is tuple for entries in table.values())

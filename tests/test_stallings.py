@@ -65,7 +65,7 @@ def test_fold_first_example_shape():
     fig = StallingsAutomaton(0, [
         Edge(0, 1, 0), Edge(0, 2, 1), Edge(1, 2, 0), Edge(1, 1, 2),
         Edge(2, 2, 3), Edge(3, 2, 2), Edge(3, 1, 3),
-    ], folded=True)
+    ])
     assert aut.canonical_edges() == fig.canonical_edges()
 
 
@@ -80,7 +80,7 @@ def test_fold_second_example_counts():
 def test_fold_confluent_orders():
     for gens in (V43, V44, [pw("p^3"), pw("p^2")], [pw("p q"), pw("q p")]):
         a0, log0 = fold(build_flower(gens))
-        a1, log1 = fold(build_flower(gens), _order_variant=1)
+        a1, log1 = fold(build_flower(gens[::-1]))
         assert a0.rank() == a1.rank()
         assert log0.closed_count == log1.closed_count
         assert a0.canonical_edges() == a1.canonical_edges()
@@ -104,6 +104,18 @@ def test_membership_on_first_example_automaton():
 def test_membership_requires_folded():
     with pytest.raises(ValueError):
         stallings_membership(build_flower(V43), pw("p"))
+
+
+def test_membership_on_deterministic_flower():
+    # the flower of p q has nothing to fold, so it is read as it stands
+    flower = build_flower([pw("p q")])
+    folded, log = fold(flower)
+    assert log.steps == ()
+    words = [w for n in range(5) for w in product((1, -1, 2, -2), repeat=n)]
+    answers = [stallings_membership(flower, w) for w in words]
+    assert answers == [stallings_membership(folded, w) for w in words]
+    assert stallings_membership(flower, pw("q^-1 p^-1 p q p q"))
+    assert not stallings_membership(flower, pw("q p"))
 
 
 def test_presentation_free_pair():
@@ -318,17 +330,15 @@ def _ref_mem_path(aut, target):
     raise RuntimeError(f"vertex {target} unreachable from basepoint")
 
 
-def _ref_find_foldable(aut, order_variant):
+def _ref_find_foldable(aut):
     """First foldable pair (direction, edge index kept, edge index merged)."""
-    labels = (1, 2) if order_variant == 0 else (2, 1)
-    directions = (0, 1) if order_variant == 0 else (1, 0)
     by_dir = ({}, {})
     for i, e in enumerate(aut.edges):
         by_dir[0].setdefault((e.src, e.label), []).append(i)
         by_dir[1].setdefault((e.dst, e.label), []).append(i)
     for v in aut.bfs_order():
-        for label in labels:
-            for direction in directions:
+        for label in (1, 2):
+            for direction in (0, 1):
                 bucket = by_dir[direction].get((v, label), [])
                 if len(bucket) >= 2:
                     return direction, bucket[0], bucket[1]
@@ -369,14 +379,14 @@ def _ref_fold_pair(aut, direction, keep_i, merge_i, steps):
             e.dst = z
 
 
-def reference_fold_in_place(aut, order_variant=0):
+def reference_fold_in_place(aut):
     ref = ListAutomaton(aut)
     steps = []
-    while (pair := _ref_find_foldable(ref, order_variant)) is not None:
+    while (pair := _ref_find_foldable(ref)) is not None:
         _ref_fold_pair(ref, *pair, steps)
     ref.trim()
     # hand the folded edge list back in the engine's representation
-    aut.__init__(aut.base, ref.edges, True, aut.trivial_petals)
+    aut.__init__(aut.base, ref.edges)
     return steps
 
 
@@ -461,16 +471,13 @@ def _edge_tuples(aut):
 
 
 def _fold_outputs(aut, words):
-    """What fold and every reader give on aut, in both orders."""
+    """What fold and every reader give on aut."""
     before = _edge_tuples(aut)
-    out = []
-    for variant in (0, 1):
-        folded, log = fold(aut, _order_variant=variant)
-        reads = [folded.bfs_order(), folded.rank(), [folded.trace(w) for w in words],
-                 folded.basis_words(), folded.dump(), folded.canonical_edges()]
-        out.append((_edge_tuples(folded), log.steps, reads))
+    folded, log = fold(aut)
+    reads = [folded.bfs_order(), folded.rank(), [folded.trace(w) for w in words],
+             folded.basis_words(), folded.dump(), folded.canonical_edges()]
     assert _edge_tuples(aut) == before, "fold changed its input"
-    return out
+    return _edge_tuples(folded), log.steps, reads
 
 
 def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
