@@ -16,12 +16,14 @@ its value needs no determinant check, only one sign normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from .freewords import Word, format_word, parse_word
 from .freewords import substitute  # part of this module's API
 from .psl2 import IDENTITY, Entries, ProjMat2, _product
-from .words import QUOTIENT_ORDER, ABWord, abelianize, decompose, eval_ab
+from .words import (QUOTIENT_ORDER, WORD_BUDGET, ABWord, abelianize, decompose, eval_ab,
+                    invert_ab, reduce_ab)
 
 EqWord = Word
 
@@ -31,9 +33,11 @@ class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
     Matrices come with their canonical a/b-word decompositions.  The letter
-    names h1..hs, x and each signed letter's matrix, entry 4-tuple and image
-    in Z/6 are computed once, at construction, so letter and word lookups do
-    no matrix or word arithmetic.
+    names h1..hs, x and each signed letter's matrix, entry 4-tuple, a/b-word
+    (for -let the inverse of let's word) and image in Z/6 are computed once,
+    at construction, so letter and word lookups do no matrix or word
+    arithmetic.  ab_word(word) reduces the letters' a/b-words into the
+    normal form of the word's value at g.
     equation(word) memoizes reduce_equation, so each word is reduced at most
     once per context, however many readers ask for its normal form.
     """
@@ -45,6 +49,7 @@ class HContext:
     letter_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _matrix: dict[int, ProjMat2] = field(init=False, repr=False, compare=False)
     _entries: dict[int, Entries] = field(init=False, repr=False, compare=False)
+    _ab_words: dict[int, ABWord] = field(init=False, repr=False, compare=False)
     _image: dict[int, int] = field(init=False, repr=False, compare=False)
     _equations: dict[EqWord, HEquation] = field(
         init=False, repr=False, compare=False, default_factory=dict)
@@ -54,18 +59,21 @@ class HContext:
             raise ValueError(f"{len(self.h_mats)} matrices h_i but "
                              f"{len(self.h_words)} words for them")
         matrix: dict[int, ProjMat2] = {}
+        ab_words: dict[int, ABWord] = {}
         image: dict[int, int] = {}
         for let, (mat, word) in enumerate(zip(self.h_mats + (self.g_mat,),
                                               self.h_words + (self.g_word,)), start=1):
             if eval_ab(word) != mat:
                 raise RuntimeError(f"a/b-word of {mat} does not evaluate to it")
             matrix[let], matrix[-let] = mat, mat.inv()
+            ab_words[let], ab_words[-let] = word, invert_ab(word)
             image[let] = abelianize(word)
             image[-let] = -image[let] % QUOTIENT_ORDER
         object.__setattr__(self, "letter_names",
                            tuple(f"h{i}" for i in range(1, self.s + 1)) + ("x",))
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_entries", {let: tuple(m) for let, m in matrix.items()})
+        object.__setattr__(self, "_ab_words", ab_words)
         object.__setattr__(self, "_image", image)
 
     @classmethod
@@ -95,6 +103,22 @@ class HContext:
 
     def word_image(self, word: EqWord) -> int:
         return sum(map(self._image.__getitem__, word)) % QUOTIENT_ORDER
+
+    def ab_word(self, word: EqWord) -> ABWord:
+        """The normal form of the value w(g) as an a/b-word, built without
+        a matrix: the letters' words written one after another and reduced.
+        Normal forms in C2 * C3 are unique, so this is
+        decompose(evaluate(word, self)).
+
+        Raises ValueError, before building any syllable, when the letters'
+        words have more than WORD_BUDGET syllables in all.
+        """
+        parts = list(map(self._ab_words.__getitem__, word))
+        length = sum(map(len, parts))
+        if length > WORD_BUDGET:
+            raise ValueError(f"a word's value spans {length} a/b letters before "
+                             f"reduction, more than the budget of {WORD_BUDGET}")
+        return reduce_ab(chain.from_iterable(parts))
 
     def equation(self, word: EqWord) -> HEquation:
         """reduce_equation(word, self), reduced once per word and context."""

@@ -183,5 +183,9 @@ def rewrite_kernel(word: ABWord) -> FreeWord:
 
 
 def matrix_to_free_word(m: ProjMat2) -> FreeWord:
-    """Rewrite a matrix known to lie in F; NotInKernel otherwise."""
+    """Rewrite a matrix known to lie in F; NotInKernel otherwise.
+
+    A public export: the pipeline reads generator values off their letters'
+    a/b-words (HContext.ab_word) instead, and the tests compare the two.
+    """
     return rewrite_kernel(decompose(m))

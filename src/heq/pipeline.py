@@ -12,7 +12,10 @@ all equations g satisfies:
     <h_1..h_s, g> on the letter images: at most 6 vertices, no matrix
     products;
  3. read the subgroup generators w_1(x)..w_p(x) off the non-tree edges;
- 4. evaluate v_i = w_i(g), rewrite each as a free word in {p, q};
+ 4. write each value v_i = w_i(g) as an a/b-word, the reduced product of
+    its letters' a/b-words (no matrix is multiplied out and peeled back),
+    and rewrite it as a free word in {p, q}; the evaluated matrix re-checks
+    the result;
  5. present V = <v_1..v_p> on those generators;
  6. push every relator through w_1..w_p and reduce: these equations
     normally generate the ideal;
@@ -40,12 +43,13 @@ from .equations import reduce_equation  # noqa: F401  perfbench traces it by thi
 from .freewords import (
     FreeWord,
     format_free_word,
-    matrix_to_free_word,
     parse_free_word,
     parse_word,
     pq_to_matrix,
+    rewrite_kernel,
     substitute,
 )
+from .freewords import matrix_to_free_word  # noqa: F401  perfbench traces it by this name
 from .psl2 import IDENTITY, ProjMat2
 from .schreier import SchreierGraph, build_schreier, subgroup_generators
 from .stallings import PresentationOnGenerators, subgroup_presentation
@@ -172,8 +176,10 @@ def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
 def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     """Run the full pipeline; see the module docstring for the steps.
 
-    Raises ValueError when a relator or ideal word has more than
-    WORD_BUDGET letters, since verify could not read such a report back.
+    Raises ValueError when a generator value spans more than WORD_BUDGET
+    a/b letters before reduction (HContext.ab_word), or when a relator or
+    ideal word has more than WORD_BUDGET letters, since verify could not
+    read such a report back.
     """
     ctx = HContext.from_matrices(h_mats, g_mat)
 
@@ -189,9 +195,8 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     for i in nontrivial:
         if ctx.word_image(w_words[i]):
             raise RuntimeError("generator value does not lie in the kernel F")
-        value = evaluate(w_words[i], ctx)
-        free = matrix_to_free_word(value)
-        if pq_to_matrix(free) != value:
+        free = rewrite_kernel(ctx.ab_word(w_words[i]))
+        if pq_to_matrix(free) != evaluate(w_words[i], ctx):
             raise RuntimeError("kernel rewriting disagrees with evaluation")
         v_words.append(free)
 

@@ -76,6 +76,11 @@ class ProjMat2(tuple):
         (e11, e12), (e21, e22) = rows
         return cls(e11, e12, e21, e22)
 
+    def __getnewargs__(self) -> Entries:
+        # copy and pickle call __new__ with these; tuple's own would pass
+        # the entries as one argument
+        return tuple(self)
+
     def rows(self) -> list[list[int]]:
         e11, e12, e21, e22 = self
         return [[e11, e12], [e21, e22]]

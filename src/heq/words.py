@@ -92,6 +92,14 @@ def reduce_ab(letters: Iterable[str]) -> ABWord:
     return tuple(stack)
 
 
+_AB_INVERSE = {"a": "a", "b": "b2", "b2": "b"}
+
+
+def invert_ab(word: ABWord) -> ABWord:
+    """Normal form of the inverse: the word reversed, with b and b2 swapped."""
+    return tuple(map(_AB_INVERSE.__getitem__, reversed(word)))
+
+
 def eval_ab(word: ABWord) -> ProjMat2:
     """Product of the generator matrices named by the word."""
     return _product(map(_SYLLABLE_ENTRIES.__getitem__, word))

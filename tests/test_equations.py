@@ -1,5 +1,7 @@
 import pytest
 
+import heq.equations
+
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import (
     HContext,
@@ -287,7 +289,22 @@ def test_context_tables_match_first_principles(rng):
         letters = [sign * let for let in range(1, ctx.x_letter + 1) for sign in (1, -1)]
         word = tuple(rng.choice(letters) for _ in range(rng.randrange(10)))
         assert ctx.word_image(word) == abelianize(decompose(evaluate(word, ctx)))
+        assert ctx.ab_word(word) == decompose(evaluate(word, ctx))
         assert analyze(hs, g).index == quotient_order(images)
+
+
+def test_ab_word_budget(monkeypatch):
+    # the letters' words are counted before any syllable is built, so the
+    # cancelling word h1 h1^-1 is refused over the budget as well
+    t400, t = ProjMat2(1, 400, 0, 1), ProjMat2(1, 1, 0, 1)
+    ctx = HContext.from_matrices([t400], t)
+    assert ctx.ab_word((1, 2, -1)) == decompose(t)
+    assert ctx.ab_word((1, 1)) == decompose(t400 * t400)
+    monkeypatch.setattr(heq.equations, "WORD_BUDGET", 1000)
+    assert len(ctx.ab_word((1, 2))) == 802
+    for word in ((1, 1), (1, -1), (-1, 2, -1)):
+        with pytest.raises(ValueError, match="budget"):
+            ctx.ab_word(word)
 
 
 _UNBALANCED_EQUATION = """

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -7,9 +9,11 @@ import pytest
 
 
 import heq.equations
+import heq.freewords
 import heq.pipeline
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import evaluate, parse_eq_word, reduce_equation
+from heq.freewords import matrix_to_free_word, rewrite_kernel
 from heq.freewords import parse_free_word as pw
 from heq.pipeline import (
     AnalysisReport,
@@ -255,3 +259,56 @@ def test_random_verdicts_survive_brute_force(rng):
         g = random_matrix(rng, 5)
         report = analyze(hs, g)
         assert cross_check(report, 6).passed
+
+
+def test_symbolic_values_match_matrix_route(h1, h2, rng):
+    # v_i is read off the letters' a/b-words; the matrix route it replaced
+    # (multiply w_i(g) out, peel it back into an a/b-word) must agree on
+    # every nontrivial generator
+    contexts = [([h1, h2], ProjMat2(5, 3, 3, 2)), ([h1, h2], ProjMat2(1, 0, -2, 1))]
+    for _ in range(60):
+        hs = [random_matrix(rng, 6) for _ in range(rng.randrange(1, 4))]
+        contexts.append((hs, random_matrix(rng, 6)))
+    checked = 0
+    for hs, g in contexts:
+        report = analyze(hs, g)
+        ctx = report.ctx
+        values = [report.w_words[i] for i in report.nontrivial_indices]
+        assert len(values) == len(report.v_words)
+        for w, v in zip(values, report.v_words):
+            assert rewrite_kernel(ctx.ab_word(w)) == v
+            assert matrix_to_free_word(evaluate(w, ctx)) == v
+            checked += 1
+    assert checked > 200
+
+
+def test_analyze_decomposes_only_the_inputs(h1, h2, monkeypatch):
+    # decompose runs once per input matrix and never on a generator value
+    calls = []
+
+    def counted(decompose):
+        def wrapper(m):
+            calls.append(m)
+            return decompose(m)
+        return wrapper
+
+    monkeypatch.setattr(heq.equations, "decompose", counted(heq.equations.decompose))
+    monkeypatch.setattr(heq.freewords, "decompose", counted(heq.freewords.decompose))
+    g = ProjMat2(1, 0, -2, 1)
+    report = analyze([h1, h2], g)
+    assert len(report.v_words) == 12
+    assert calls == [h1, h2, g]
+
+
+def test_analyze_refuses_generator_value_over_budget():
+    # h1^3 = [[1,600000],[0,1]] is a generator value of 1200000 a/b letters
+    with pytest.raises(ValueError, match="budget"):
+        analyze([ProjMat2(1, 200000, 0, 1)], ProjMat2(1, 1, 0, 1))
+
+
+def test_report_survives_copy_and_pickle(h1, h2):
+    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+    for clone in (copy.copy(report), copy.deepcopy(report),
+                  pickle.loads(pickle.dumps(report))):
+        assert clone.to_dict() == report.to_dict()
+        assert verify(clone).ok

@@ -10,6 +10,7 @@ from heq.words import (
     eval_ab,
     format_ab_word,
     image_pair,
+    invert_ab,
     parse_ab_word,
     quotient_order,
     reduce_ab,
@@ -49,6 +50,19 @@ def test_eval_matches_letterwise_product(rng):
         for letter in word:
             product = product * _LETTER_MATS[letter]
         assert eval_ab(reduce_ab(word)) == product
+
+
+def test_invert_ab(rng):
+    assert invert_ab(parse_ab_word("a b a b2")) == parse_ab_word("b a b2 a")
+    assert invert_ab(()) == ()
+    letters = ["a", "b", "b^-1"]
+    for _ in range(200):
+        word = reduce_ab(rng.choice(letters) for _ in range(rng.randrange(30)))
+        inv = invert_ab(word)
+        assert eval_ab(inv) == eval_ab(word).inv()
+        # the inverse of a normal form is a normal form
+        assert reduce_ab(inv) == inv
+        assert reduce_ab(word + inv) == ()
 
 
 def test_decompose_examples():
