@@ -37,6 +37,14 @@ about 256 MB; much larger entries cost more per word.
 Every candidate is evaluated again through the equation layer before it
 becomes a witness, so a fault in the search raises instead of producing a
 wrong witness.
+
+The witness rule rests on the exponent sum sigma: H*<x> -> Z, x -> 1 and
+H -> 0.  It is a homomorphism, so a word with sigma != 0 is never trivial
+and is a witness as it stands.  A word with no x lies in H, where it is
+trivial exactly when its value is I, which the re-check has just asserted;
+it is never a witness.  Only a balanced word that contains x is reduced to
+its normal form in H*<x> (Lyndon-Schupp, Combinatorial Group Theory,
+Ch. IV), and it is a witness when that form is nontrivial.
 """
 
 from __future__ import annotations
@@ -118,10 +126,13 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
     """Exhaustive witness search over words of length <= max_len.
 
     A witness is a word that evaluates to the identity at g but is a
-    nontrivial element of H*<x>.  Witnesses come out as raw EqWords sorted
-    by (length, word), letters compared as signed integers.  Raises
-    ValueError when max_len < 1, or when the ball of words of length up to
-    ceil(max_len/2) would hold more than BALL_BUDGET words.
+    nontrivial element of H*<x>.  Every candidate is re-checked by evaluate
+    and word_image; then a word whose x-exponent sum is nonzero is a witness
+    without reduction, a word without x is not one, and only a balanced
+    word with x goes through reduce_equation.  Witnesses come out as raw
+    EqWords sorted by (length, word), letters compared as signed integers.
+    Raises ValueError when max_len < 1, or when the ball of words of length
+    up to ceil(max_len/2) would hold more than BALL_BUDGET words.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -131,11 +142,13 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
             f"max_len {max_len} needs more than {BALL_BUDGET} words of length "
             f"up to {radius} over {nsigned} signed letters")
 
+    x = ctx.x_letter
     witnesses: list[EqWord] = []
     for word in _candidates(ctx, max_len):
         if evaluate(word, ctx) != IDENTITY or ctx.word_image(word):
             raise RuntimeError(f"search produced a non-witness {word}")
-        if not reduce_equation(word, ctx).is_trivial():
+        ups = word.count(x)
+        if ups != word.count(-x) or (ups and not reduce_equation(word, ctx).is_trivial()):
             witnesses.append(word)
     witnesses.sort(key=lambda w: (len(w), w))
     return EnumerationResult(tuple(witnesses))

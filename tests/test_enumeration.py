@@ -1,5 +1,6 @@
 import pytest
 
+import heq.enumeration
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import HContext, evaluate, parse_eq_word, reduce_equation
 from heq.enumeration import (BALL_BUDGET, _ball_size, _candidates, cross_check,
@@ -132,11 +133,33 @@ def test_join_matches_dfs_reference(ctx_43, ctx_44, rng):
     for ctx in (ctx_43, ctx_44):
         for max_len in range(1, 9):
             _assert_join_matches_dfs(ctx, max_len)
-    # the T^2, U^2, a context of the oracle benchmark: x^2 is a witness
-    t2, u2 = ProjMat2(1, 2, 0, 1), ProjMat2(1, 0, 2, 1)
-    assert _assert_join_matches_dfs(HContext.from_matrices([t2, u2], MAT_A), 8) == 7224
+    assert _assert_join_matches_dfs(_t2_u2_context(), 8) == 7224
     for ctx, max_len in _seeded_contexts(rng):
         _assert_join_matches_dfs(ctx, max_len)
+
+
+def _t2_u2_context() -> HContext:
+    """The T^2, U^2, a context of the oracle benchmark: x^2 is a witness."""
+    return HContext.from_matrices([ProjMat2(1, 2, 0, 1), ProjMat2(1, 0, 2, 1)], MAT_A)
+
+
+def test_sigma_shortcut_reduces_only_balanced_words_with_x(monkeypatch):
+    # a word with nonzero x-exponent sum is a witness and one without x is
+    # not, so only balanced words that contain x reach reduce_equation
+    ctx = _t2_u2_context()
+    x = ctx.x_letter
+    expected = enumerate_kernel(ctx, 8).witnesses
+    reduced = []
+
+    def counting(word, ctx):
+        reduced.append(word)
+        return reduce_equation(word, ctx)
+
+    monkeypatch.setattr(heq.enumeration, "reduce_equation", counting)
+    assert enumerate_kernel(ctx, 8).witnesses == expected
+    balanced = [w for w in _candidates(ctx, 8) if w.count(x) == w.count(-x) > 0]
+    assert sorted(reduced) == sorted(balanced)
+    assert len(reduced) == 2208 < 7224
 
 
 def test_first_example_has_no_short_witness(ctx_43):

@@ -200,6 +200,31 @@ def test_degree_balance_trivial(ctx_43):
     assert reduce_equation((), ctx_43).is_trivial()
 
 
+def test_degree_bounds_exponent_sum(ctx_43, ctx_44, rng):
+    # the exponent sum sigma (x -> 1, H -> 0) is a homomorphism on H*<x>,
+    # so the normal form keeps it: degree >= |sigma|, of the same parity,
+    # and a word without x is trivial exactly when its value is I.  The
+    # oracle decides its witnesses on this without reducing.
+    contexts = [ctx_43, ctx_44,
+                HContext.from_matrices([MAT_A], ProjMat2(2, 1, 1, 1)),  # H = <a>
+                HContext.from_matrices([MAT_B], MAT_A)]                 # H = <b>
+    without_x = 0
+    for ctx in contexts:
+        x = ctx.x_letter
+        h_letters = [s * i for i in range(1, x) for s in (1, -1)]
+        for i in range(200):
+            letters = h_letters + ([x, -x] if i % 3 else [])
+            word = tuple(rng.choice(letters) for _ in range(rng.randrange(16)))
+            sigma = word.count(x) - word.count(-x)
+            eq = reduce_equation(word, ctx)
+            assert eq.degree >= abs(sigma) and (eq.degree - sigma) % 2 == 0, word
+            if x not in word and -x not in word:
+                assert eq.degree == 0
+                assert eq.is_trivial() == (evaluate(word, ctx) == IDENTITY), word
+                without_x += 1
+    assert without_x > 250  # of the 800 words
+
+
 def test_equality_by_matrices(ctx_43):
     # h2 = h2^-1 in PSL2(Z), so the two spellings are the same equation
     a = reduce_equation(parse_eq_word("h2 x h2", ctx_43), ctx_43)
