@@ -65,8 +65,8 @@ def _print_text_report(report: AnalysisReport, show_matrices: bool) -> None:
     print(f"g  = {ctx.g_mat} = {g_word} | pi={_pi(ctx.g_image())}")
     print(f"index [H*<x> : I_H(g;F)] = {report.index}")
     print(f"generators of I_H(g;F) ({len(report.w_words)}):")
-    for w, eq in zip(report.w_words, report.w_equations):
-        mark = "  (trivial)" if eq.is_trivial() else ""
+    for w in report.w_words:
+        mark = "  (trivial)" if ctx.is_trivial(w) else ""
         print(f"  {format_eq_word(w, ctx)}{mark}")
     print("values at g in the free kernel:")
     for v in report.v_words:

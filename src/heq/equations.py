@@ -40,6 +40,8 @@ class HContext:
     normal form of the word's value at g.
     equation(word) memoizes reduce_equation, so each word is reduced at most
     once per context, however many readers ask for its normal form.
+    is_trivial(word) reads the flag without a normal form wherever the
+    x-exponent sum or the value decides it, and through equation otherwise.
     """
 
     h_mats: tuple[ProjMat2, ...]
@@ -126,6 +128,23 @@ class HContext:
         if eq is None:
             eq = self._equations[word] = reduce_equation(word, self)
         return eq
+
+    def is_trivial(self, word: EqWord) -> bool:
+        """Whether word is trivial in H*<x>, reduced only when nothing
+        cheaper decides it.
+
+        The exponent sum sigma: H*<x> -> Z, x -> 1 and H -> 0, is a
+        homomorphism, so a word with sigma != 0 is nontrivial.  A word
+        without x lies in H, where it is trivial exactly when its value is
+        I.  Only a balanced word with x goes through equation(word).
+        """
+        x = self.x_letter
+        ups = word.count(x)
+        if ups != word.count(-x):
+            return False
+        if not ups:
+            return evaluate(word, self) == IDENTITY
+        return self.equation(word).is_trivial()
 
 
 class HEquation:

@@ -14,6 +14,7 @@ crossed.  The table is derived at import time: each entry is the word among
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Sequence
 
 from .psl2 import MAT_P, MAT_Q, ProjMat2, _product
@@ -44,7 +45,7 @@ def free_reduce(letters: Iterable[int]) -> Word:
 
 
 def invert_word(word: Word) -> Word:
-    return tuple(-let for let in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def substitute(relator: Word, ws: Sequence[Word]) -> Word:

@@ -64,12 +64,13 @@ class AnalysisReport:
     """The raw data the pipeline computed, enough to re-check it.
 
     The report stores words only.  Their normal forms (w_equations,
-    ideal_equations) and the positions of the nontrivial generators
-    (nontrivial_indices) are read through ctx.equation, which reduces each
-    word once per context.  v_words runs parallel to nontrivial_indices:
-    trivial generators stay in w_words but contribute nothing downstream.
-    ideal_words holds one substituted relator per presentation relator,
-    unfiltered.
+    ideal_equations) are read through ctx.equation, which reduces each word
+    once per context.  The positions of the nontrivial generators
+    (nontrivial_indices) and the generators' trivial flags are read through
+    ctx.is_trivial, which reduces only a balanced word that contains x.
+    v_words runs parallel to nontrivial_indices: trivial generators stay in
+    w_words but contribute nothing downstream.  ideal_words holds one
+    substituted relator per presentation relator, unfiltered.
     """
 
     ctx: HContext
@@ -106,8 +107,8 @@ class AnalysisReport:
             "g_image": list(image_pair(ctx.g_image())),
             "index": self.index,
             "generators": [
-                {"word": format_eq_word(w, ctx), "trivial": eq.is_trivial()}
-                for w, eq in zip(self.w_words, self.w_equations)
+                {"word": format_eq_word(w, ctx), "trivial": ctx.is_trivial(w)}
+                for w in self.w_words
             ],
             "v_words": [format_free_word(v) for v in self.v_words],
             "presentation": {
@@ -155,7 +156,7 @@ class AnalysisReport:
 
 def _nontrivial(words: Sequence[EqWord], ctx: HContext) -> tuple[int, ...]:
     """Positions of the words that are nontrivial equations."""
-    return tuple(i for i, w in enumerate(words) if not ctx.equation(w).is_trivial())
+    return tuple(i for i, w in enumerate(words) if not ctx.is_trivial(w))
 
 
 def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
@@ -246,7 +247,9 @@ def verify(report: AnalysisReport) -> VerificationResult:
         applied to them, freely reduces to nothing;
     (c) the v-words match the evaluated generators as matrices;
     (d) every generator's image in Z/6 is trivial;
-    (e) the verdict agrees with the triviality of the ideal generators;
+    (e) the verdict agrees with the triviality of the ideal generators,
+        read through ctx.is_trivial, which stops at the first nontrivial
+        one and reduces only balanced words that contain x;
     (f) the index and the generators are those of the Schreier graph
         rebuilt from the context;
     (g) the presentation has one generator per nontrivial generator and
@@ -282,7 +285,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
                    f"{len(report.w_words)} generators" if not bad
                    else f"generators {bad} fail"))
 
-    algebraic = any(not eq.is_trivial() for eq in report.ideal_equations)
+    algebraic = not all(map(ctx.is_trivial, report.ideal_words))
     expected = VERDICT_ALGEBRAIC if algebraic else VERDICT_TRANSCENDENTAL
     checks.append(("verdict is consistent", report.verdict == expected,
                    f"verdict {report.verdict!r}, recomputed {expected!r}"))

@@ -5,6 +5,7 @@ from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import HContext, evaluate, parse_eq_word, reduce_equation
 from heq.enumeration import (BALL_BUDGET, _ball_size, _candidates, cross_check,
                              enumerate_kernel)
+from heq.freewords import invert_word
 from heq.pipeline import VERDICT_TRANSCENDENTAL, analyze
 from heq.words import image_pair
 
@@ -93,7 +94,7 @@ def _assert_join_matches_dfs(ctx: HContext, max_len: int) -> int:
     """Same candidate multiset and same witness tuple as the reference;
     returns the number of candidates."""
     expected = sorted(_dfs_candidates(ctx, max_len))
-    assert sorted(_candidates(ctx, max_len)) == expected
+    assert sorted(u + invert_word(t) for u, t in _candidates(ctx, max_len)) == expected
     witnesses = sorted((w for w in expected if not reduce_equation(w, ctx).is_trivial()),
                        key=lambda w: (len(w), w))
     assert enumerate_kernel(ctx, max_len).witnesses == tuple(witnesses)
@@ -143,9 +144,29 @@ def _t2_u2_context() -> HContext:
     return HContext.from_matrices([ProjMat2(1, 2, 0, 1), ProjMat2(1, 0, 2, 1)], MAT_A)
 
 
+def _form(word: tuple, ctx: HContext) -> tuple:
+    eq = reduce_equation(word, ctx)
+    return eq.signs, eq.coefficient_matrices()
+
+
+def test_half_forms_decide_join_pairs(ctx_43, ctx_44, rng):
+    # u t^-1 is trivial in H*<x> exactly when u = t there, that is when
+    # their normal forms agree
+    contexts = [(ctx_43, 8), (ctx_44, 8), (_t2_u2_context(), 6)] + _seeded_contexts(rng)
+    pairs = trivial = 0
+    for ctx, max_len in contexts:
+        for u, t in _candidates(ctx, max_len):
+            same = _form(u, ctx) == _form(t, ctx)
+            assert same == reduce_equation(u + invert_word(t), ctx).is_trivial(), (u, t)
+            pairs += 1
+            trivial += same
+    assert pairs > 10_000 and trivial > 1_000
+
+
 def test_sigma_shortcut_reduces_only_balanced_words_with_x(monkeypatch):
     # a word with nonzero x-exponent sum is a witness and one without x is
-    # not, so only balanced words that contain x reach reduce_equation
+    # not; a balanced word u t^-1 with x is decided by the normal forms of
+    # its halves u and t, and each half reaches reduce_equation once
     ctx = _t2_u2_context()
     x = ctx.x_letter
     expected = enumerate_kernel(ctx, 8).witnesses
@@ -157,9 +178,13 @@ def test_sigma_shortcut_reduces_only_balanced_words_with_x(monkeypatch):
 
     monkeypatch.setattr(heq.enumeration, "reduce_equation", counting)
     assert enumerate_kernel(ctx, 8).witnesses == expected
-    balanced = [w for w in _candidates(ctx, 8) if w.count(x) == w.count(-x) > 0]
-    assert sorted(reduced) == sorted(balanced)
-    assert len(reduced) == 2208 < 7224
+    halves = set()
+    for u, t in _candidates(ctx, 8):
+        word = u + invert_word(t)
+        if word.count(x) == word.count(-x) > 0:
+            halves.update((u, t))
+    assert sorted(reduced) == sorted(halves)
+    assert len(reduced) == 768 < 2208  # of the 2208 balanced candidates with x
 
 
 def test_first_example_has_no_short_witness(ctx_43):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import heq.equations
@@ -13,8 +15,8 @@ from heq.equations import (
     render_equation,
     substitute,
 )
-from heq.freewords import free_reduce, parse_free_word, pq_to_matrix
-from heq.pipeline import analyze
+from heq.freewords import free_reduce, invert_word, parse_free_word, pq_to_matrix
+from heq.pipeline import AnalysisReport, analyze, verify
 from heq.words import abelianize, decompose, quotient_order
 
 from conftest import random_matrix, run_python
@@ -223,6 +225,73 @@ def test_degree_bounds_exponent_sum(ctx_43, ctx_44, rng):
                 assert eq.is_trivial() == (evaluate(word, ctx) == IDENTITY), word
                 without_x += 1
     assert without_x > 250  # of the 800 words
+
+
+def test_is_trivial_matches_normal_form(ctx_43, ctx_44, h1, rng):
+    # raw and freely reduced words, and u c u^-1 with c in H, whose
+    # triviality rests on the value of c: h2 has order 2 in ctx_43 and h1
+    # is the identity in the last context
+    contexts = [ctx_43, ctx_44,
+                HContext.from_matrices([MAT_A], ProjMat2(2, 1, 1, 1)),      # H = <a>
+                HContext.from_matrices([IDENTITY, h1], ProjMat2(5, 3, 3, 2))]
+    seen = {"unbalanced": 0, "without x": 0, "trivial with x": 0, "nontrivial with x": 0}
+    for ctx in contexts:
+        x = ctx.x_letter
+        h_letters = [s * i for i in range(1, x) for s in (1, -1)]
+        letters = h_letters + [x, -x, x, -x]
+        for i in range(150):
+            word = tuple(rng.choice(letters) for _ in range(rng.randrange(14)))
+            if i % 3 == 1:
+                word = free_reduce(word)
+            elif i % 3 == 2:
+                c = tuple(rng.choice(h_letters) for _ in range(rng.randrange(4)))
+                word = word + c + invert_word(word)
+            trivial = ctx.is_trivial(word)
+            assert trivial == reduce_equation(word, ctx).is_trivial(), word
+            if word.count(x) != word.count(-x):
+                seen["unbalanced"] += 1
+            elif x not in word and -x not in word:
+                seen["without x"] += 1
+            else:
+                seen["trivial with x" if trivial else "nontrivial with x"] += 1
+    assert sum(seen.values()) == 600
+    assert min(seen.values()) >= 50, seen
+
+
+def test_verify_reduces_only_balanced_words_with_x(monkeypatch):
+    # check (e) stops at the first nontrivial ideal word, so the words it
+    # reads are the ideal words up to that one
+    def read_by_verify(report):
+        words = list(report.w_words)
+        for w in report.ideal_words:
+            words.append(w)
+            if not report.ctx.is_trivial(w):
+                break
+        x = report.ctx.x_letter
+        return {w for w in words if w.count(x) == w.count(-x) > 0}
+
+    reduced = []
+
+    def counting(word, ctx):
+        reduced.append(word)
+        return reduce_equation(word, ctx)
+
+    inputs = [([ProjMat2(1, 2, 0, 1)], ProjMat2(1, 100, 0, 1)),
+              ([ProjMat2(2, -1, -1, 1), ProjMat2(2, -5, 1, -2)], ProjMat2(5, 3, 3, 2)),
+              ([ProjMat2(2, -1, -1, 1), ProjMat2(2, -5, 1, -2)], ProjMat2(1, 0, -2, 1))]
+    counts = []
+    for hs, g in inputs:
+        data = json.loads(json.dumps(analyze(hs, g).to_dict()))
+        report = AnalysisReport.from_dict(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(heq.equations, "reduce_equation", counting)
+            assert verify(report).ok
+        counts.append(len(reduced))
+        assert sorted(reduced) == sorted(read_by_verify(report))
+        reduced.clear()
+    # every generator and ideal word of the parabolic pair and of the first
+    # worked example is decided by the exponent sum or the value
+    assert counts == [0, 0, 9]
 
 
 def test_equality_by_matrices(ctx_43):
