@@ -91,7 +91,7 @@ def _ball_size(nsigned: int, radius: int) -> int:
 def _ball(ctx: HContext, radius: int) -> list[dict[tuple, list[EqWord]]]:
     """layers[r] maps each value of a freely reduced word of length r,
     sign-normalized, to the words of length r with that value."""
-    letters = [(sl, tuple(ctx.letter_matrix(sl)))
+    letters = [(sl, ctx.letter_matrix(sl))
                for letter in range(1, ctx.x_letter + 1) for sl in (letter, -letter)]
     layers: list[dict[tuple, list[EqWord]]] = [{(1, 0, 0, 1): [()]}]
     for _ in range(radius):

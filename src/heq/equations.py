@@ -22,8 +22,8 @@ from typing import Sequence
 from .freewords import Word, format_word, parse_word
 from .freewords import substitute  # part of this module's API
 from .psl2 import IDENTITY, Entries, ProjMat2, _product
-from .words import (QUOTIENT_ORDER, WORD_BUDGET, ABWord, abelianize, decompose, eval_ab,
-                    invert_ab, reduce_ab)
+from .words import (QUOTIENT_ORDER, WORD_BUDGET, ABWord, abelianize, decompose, invert_ab,
+                    reduce_ab)
 
 EqWord = Word
 
@@ -32,12 +32,14 @@ EqWord = Word
 class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
-    Matrices come with their canonical a/b-word decompositions.  The letter
-    names h1..hs, x and each signed letter's matrix, entry 4-tuple, a/b-word
-    (for -let the inverse of let's word) and image in Z/6 are computed once,
-    at construction, so letter and word lookups do no matrix or word
-    arithmetic.  ab_word(word) reduces the letters' a/b-words into the
-    normal form of the word's value at g.
+    A context is its matrices: h_words and g_word, their canonical a/b-word
+    decompositions, are derived at construction and take no part in
+    equality or hashing.  The letter names h1..hs, x and each
+    signed letter's entry 4-tuple, a/b-word (for -let the inverse of let's
+    word) and image in Z/6 are computed once, at construction, so letter
+    and word lookups do no matrix or word arithmetic.  ab_word(word)
+    reduces the letters' a/b-words into the normal form of the word's value
+    at g.
     equation(word) memoizes reduce_equation, so each word is reduced at most
     once per context, however many readers ask for its normal form.
     is_trivial(word) reads the flag without a normal form wherever the
@@ -45,11 +47,10 @@ class HContext:
     """
 
     h_mats: tuple[ProjMat2, ...]
-    h_words: tuple[ABWord, ...]
     g_mat: ProjMat2
-    g_word: ABWord
+    h_words: tuple[ABWord, ...] = field(init=False, repr=False, compare=False)
+    g_word: ABWord = field(init=False, repr=False, compare=False)
     letter_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _matrix: dict[int, ProjMat2] = field(init=False, repr=False, compare=False)
     _entries: dict[int, Entries] = field(init=False, repr=False, compare=False)
     _ab_words: dict[int, ABWord] = field(init=False, repr=False, compare=False)
     _image: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -57,31 +58,31 @@ class HContext:
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if len(self.h_words) != len(self.h_mats):
-            raise ValueError(f"{len(self.h_mats)} matrices h_i but "
-                             f"{len(self.h_words)} words for them")
-        matrix: dict[int, ProjMat2] = {}
+        mats = self.h_mats + (self.g_mat,)
+        # decompose checks that each word evaluates back to its matrix
+        words = tuple(map(decompose, mats))
+        entries: dict[int, Entries] = {}
         ab_words: dict[int, ABWord] = {}
         image: dict[int, int] = {}
-        for let, (mat, word) in enumerate(zip(self.h_mats + (self.g_mat,),
-                                              self.h_words + (self.g_word,)), start=1):
-            if eval_ab(word) != mat:
-                raise RuntimeError(f"a/b-word of {mat} does not evaluate to it")
-            matrix[let], matrix[-let] = mat, mat.inv()
+        for let, (mat, word) in enumerate(zip(mats, words), start=1):
+            entries[let], entries[-let] = tuple(mat), tuple(mat.inv())
             ab_words[let], ab_words[-let] = word, invert_ab(word)
             image[let] = abelianize(word)
             image[-let] = -image[let] % QUOTIENT_ORDER
+        object.__setattr__(self, "h_words", words[:-1])
+        object.__setattr__(self, "g_word", words[-1])
         object.__setattr__(self, "letter_names",
                            tuple(f"h{i}" for i in range(1, self.s + 1)) + ("x",))
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_entries", {let: tuple(m) for let, m in matrix.items()})
+        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_ab_words", ab_words)
         object.__setattr__(self, "_image", image)
 
     @classmethod
     def from_matrices(cls, h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> "HContext":
-        return cls(tuple(h_mats), tuple(decompose(m) for m in h_mats),
-                   g_mat, decompose(g_mat))
+        """HContext(tuple(h_mats), g_mat), for any sequence of h_i.  Kept as
+        the entry point analyze and the CLI call and perfbench's spans wrap
+        by this name."""
+        return cls(tuple(h_mats), g_mat)
 
     @property
     def s(self) -> int:
@@ -91,8 +92,8 @@ class HContext:
     def x_letter(self) -> int:
         return self.s + 1
 
-    def letter_matrix(self, let: int) -> ProjMat2:
-        return self._matrix[let]
+    def letter_matrix(self, let: int) -> Entries:
+        return self._entries[let]
 
     def letter_image(self, let: int) -> int:
         return self._image[let]
@@ -243,7 +244,7 @@ def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
     if isinstance(w, HEquation):
         factors = [w.coeffs[0][0]]
         for sign, (mat, _) in zip(w.signs, w.coeffs[1:]):
-            factors += (ctx._matrix[sign * ctx.x_letter], mat)
+            factors += (ctx._entries[sign * ctx.x_letter], mat)
         return _product(factors)
     return _product(map(ctx._entries.__getitem__, w))
 

@@ -53,7 +53,7 @@ from .freewords import matrix_to_free_word  # noqa: F401  perfbench traces it by
 from .psl2 import IDENTITY, ProjMat2
 from .schreier import SchreierGraph, build_schreier, subgroup_generators
 from .stallings import PresentationOnGenerators, subgroup_presentation
-from .words import WORD_BUDGET, format_ab_word, image_pair, parse_ab_word, quotient_order
+from .words import WORD_BUDGET, format_ab_word, image_pair, quotient_order
 
 VERDICT_ALGEBRAIC = "algebraic"
 VERDICT_TRANSCENDENTAL = "transcendental"
@@ -129,10 +129,12 @@ class AnalysisReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
-        """Parse and type-check a to_dict() mapping; no word is reduced."""
+        """Parse and type-check a to_dict() mapping.  The context is read
+        from h and g alone and decomposes the matrices; no equation word is
+        reduced.  h_words, g_word, the images and the other rendered fields
+        are not read."""
         ctx = HContext(tuple(map(ProjMat2.from_rows, data["h"])),
-                       tuple(map(parse_ab_word, data["h_words"])),
-                       ProjMat2.from_rows(data["g"]), parse_ab_word(data["g_word"]))
+                       ProjMat2.from_rows(data["g"]))
         w_words = tuple(parse_eq_word(g["word"], ctx) for g in data["generators"])
         v_words = tuple(parse_free_word(v) for v in data["v_words"])
         pres = data["presentation"]

@@ -20,10 +20,12 @@ enumeration oracle keeps its own entry arithmetic, so that it stays an
 independent cross-check.
 
 The letter tables that _product and the oracle's ball loop over once per
-letter (HContext._entries, words._SYLLABLE_ENTRIES, freewords._PQ_ENTRIES,
-the letters of enumeration._ball) hold tuple(m), an exact tuple, not the
-ProjMat2: CPython unpacks an exact tuple faster than an instance of a tuple
-subclass.  Elsewhere matrices go to _product as they are.
+letter (HContext._entries, which HContext.letter_matrix and so
+enumeration._ball read, words._SYLLABLE_ENTRIES and freewords._PQ_ENTRIES)
+hold tuple(m), an exact tuple, not the ProjMat2: CPython unpacks an exact
+tuple faster than an instance of a tuple subclass, and a ProjMat2 equals
+its tuple, so one table serves as both.  Elsewhere matrices go to _product
+as they are.
 """
 
 from __future__ import annotations

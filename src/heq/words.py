@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
-from .psl2 import MAT_A, MAT_B, ProjMat2, _product
+from .psl2 import MAT_A, MAT_B, ProjMat2, _product, _trusted
 
 ABWord = tuple[str, ...]
 
@@ -27,7 +27,6 @@ _SYLLABLE_ENTRIES = {"a": tuple(MAT_A), "b": tuple(MAT_B), "b2": tuple(_MAT_B2)}
 _MAT_T = ProjMat2(1, 1, 0, 1)
 if MAT_B * MAT_A != _MAT_T:
     raise RuntimeError("b*a is not the translation [[1,1],[0,1]]")
-_MAT_S_INV = MAT_A.inv()
 
 # decompose() refuses a matrix whose expanded a/b-letter sequence would be
 # longer than this: [[1,n],[0,1]] expands to 2n letters, so without a limit
@@ -125,13 +124,13 @@ def decompose(m: ProjMat2) -> ABWord:
     factors: list[tuple[str, int]] = []  # ("T", n) or ("S", 0), left to right
     cur = m
     while cur.e21 != 0:
-        n = cur.e11 // cur.e21
+        e11, e12, e21, e22 = cur
+        n = e11 // e21
         if n:
-            # T^-n on the left subtracts n times row 2 from row 1
-            cur = ProjMat2(cur.e11 - n * cur.e21, cur.e12 - n * cur.e22,
-                           cur.e21, cur.e22)
             factors.append(("T", n))
-        cur = _MAT_S_INV * cur
+        # a^-1 T^-n on the left: subtract n times row 2 from row 1, then
+        # swap the rows and negate one; both keep the determinant at 1
+        cur = _trusted(-e21, -e22, e11 - n * e21, e12 - n * e22)
         factors.append(("S", 0))
     # cur is now [[1, n],[0, 1]] = T^n (sign normalization forces e11 = 1)
     if cur.e12 != 0:

@@ -7,7 +7,7 @@ import pytest
 
 from heq.cli import main, parse_matrix
 from heq.equations import render_equation
-from heq.pipeline import AnalysisReport
+from heq.pipeline import AnalysisReport, analyze, verify
 from heq.psl2 import ProjMat2
 
 H1 = "[[2,-1],[-1,1]]"
@@ -103,7 +103,8 @@ def test_verify_failure_exit_code(capsys, tmp_path):
 
 
 def test_verify_forged_context_fails_cleanly(capsys, tmp_path):
-    # h_words[0] no longer evaluates to h[0]: the report's context is invalid
+    # h_words[0] no longer is the word of h[0]: the words are rendered from
+    # the matrices, so the forged one is a display field that differs
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     data = json.loads(out)
     data["h_words"][0] = "a"
@@ -111,8 +112,27 @@ def test_verify_forged_context_fails_cleanly(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1
-    assert out.startswith("FAIL report context: ")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL rendered fields match the report: h_words differ"]
     assert "Traceback" not in err
+
+
+def test_report_without_words_reads_back(capsys, tmp_path, h1, h2):
+    # h_words and g_word are rendered from h and g, never read: a report
+    # without them reads back whole and verifies, and only the re-render
+    # check notices the missing keys
+    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+    data = json.loads(json.dumps(report.to_dict()))
+    del data["h_words"], data["g_word"]
+    restored = AnalysisReport.from_dict(data)
+    assert restored == report and restored.to_dict() == report.to_dict()
+    assert verify(restored).ok
+    path = tmp_path / "wordless.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL rendered fields match the report: h_words, g_word differ"]
 
 
 def _forge_index(data):
@@ -159,6 +179,12 @@ def _forge_images(data):
     data["h_images"] = [[1, 2], [0, 0]]
 
 
+def _forge_extra_h_word(data):
+    # a third h-word with no matrix behind it, and g's word forged
+    data["h_words"].append(data["g_word"])
+    data["g_word"] = "a"
+
+
 def _forge_long_equation_word(data):
     # h1^11000 has entries of over 4300 digits, more than str(int) writes:
     # verify must FAIL it without rendering the matrix
@@ -169,7 +195,7 @@ def _forge_long_equation_word(data):
                                    _forge_false_verdict, _forge_extra_relator_letter,
                                    _forge_equation_text, _forge_trivial_flags,
                                    _forge_flag_type, _forge_images,
-                                   _forge_long_equation_word])
+                                   _forge_extra_h_word, _forge_long_equation_word])
 def test_verify_rejects_forged_report(capsys, tmp_path, forge):
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     data = json.loads(out)
@@ -199,13 +225,6 @@ def _shape_float_entry(data):
     return data
 
 
-def _shape_extra_h_word(data):
-    # a third h-word with no matrix behind it, and g's word forged
-    data["h_words"].append(data["g_word"])
-    data["g_word"] = "a"
-    return data
-
-
 def _shape_not_an_object(data):
     return [1]
 
@@ -228,8 +247,7 @@ def _shape_too_many_presentation_generators(data):
 
 
 @pytest.mark.parametrize("reshape", [_shape_bad_matrix, _shape_misshaped_rows,
-                                     _shape_float_entry, _shape_extra_h_word,
-                                     _shape_not_an_object,
+                                     _shape_float_entry, _shape_not_an_object,
                                      _shape_word_not_a_string, _shape_rank_not_an_integer,
                                      _shape_too_many_presentation_generators])
 def test_verify_wrong_json_shape_exits_two(capsys, tmp_path, reshape):

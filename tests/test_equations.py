@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -359,11 +361,20 @@ def test_format_parse_round_trip(ctx_44, rng):
         assert parse_eq_word(text, ctx_44) == word
 
 
-def test_context_validates_words(h1, h2):
-    from heq.words import decompose
-
-    with pytest.raises(RuntimeError):
-        HContext((h1,), (decompose(h2),), h1, decompose(h1))
+def test_context_is_its_matrices(h1, h2):
+    # the words are derived from the matrices, and equality, hashing,
+    # deepcopy and pickle see the matrices only
+    g = ProjMat2(5, 3, 3, 2)
+    ctx = HContext((h1, h2), g)
+    assert ctx.h_words == (decompose(h1), decompose(h2)) and ctx.g_word == decompose(g)
+    twin = HContext.from_matrices([h1, h2], g)
+    object.__setattr__(twin, "h_words", ())
+    object.__setattr__(twin, "g_word", ("a",))
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert HContext((h2, h1), g) != ctx and HContext((h1, h2), h1) != ctx
+    for copied in (copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert copied == ctx and hash(copied) == hash(ctx)
+        assert copied.h_words == ctx.h_words and copied.g_word == ctx.g_word
 
 
 def test_context_tables_match_first_principles(rng):
