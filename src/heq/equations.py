@@ -32,7 +32,8 @@ EqWord = Word
 class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
-    A context is its matrices: h_words and g_word, their canonical a/b-word
+    A context is its matrices: h_mats may be given as any sequence and is
+    stored as a tuple, and h_words and g_word, their canonical a/b-word
     decompositions, are derived at construction and take no part in
     equality or hashing.  The letter names h1..hs, x and each
     signed letter's entry 4-tuple, a/b-word (for -let the inverse of let's
@@ -58,6 +59,7 @@ class HContext:
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "h_mats", tuple(self.h_mats))
         mats = self.h_mats + (self.g_mat,)
         # decompose checks that each word evaluates back to its matrix
         words = tuple(map(decompose, mats))
@@ -79,10 +81,9 @@ class HContext:
 
     @classmethod
     def from_matrices(cls, h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> "HContext":
-        """HContext(tuple(h_mats), g_mat), for any sequence of h_i.  Kept as
-        the entry point analyze and the CLI call and perfbench's spans wrap
-        by this name."""
-        return cls(tuple(h_mats), g_mat)
+        """HContext(h_mats, g_mat).  Kept as the entry point analyze and the
+        CLI call and perfbench's spans wrap by this name."""
+        return cls(h_mats, g_mat)
 
     @property
     def s(self) -> int:

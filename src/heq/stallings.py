@@ -54,6 +54,31 @@ A closed folding touches no search state: the dropped edge comes after its
 parallel twin in both end buckets, so it never discovered a vertex.  A
 closed folding multiplies out the memories along the tree path to its
 target, growing the tree on to that target if it has not been discovered.
+
+subgroup_presentation reads each petal into the folded automaton before it
+folds anything.  Of petal i's reduced word w, n letters long, it reads the
+longest prefix from the basepoint, k letters to u with memory product M,
+and the inverse of the rest, j letters to v with memory product S.  When
+k + j < n, and not both u = v and w[k] = w[n-j-1]^-1, it attaches only the
+middle w[k:n-j] from u to v, its first edge carrying M^-1 and its last
+x_i S (a one-letter middle M^-1 x_i S; x_i is in no earlier memory, so
+these words are freely reduced).  Every other petal is attached whole and
+folded letterwise.  The middle is what the letterwise fold of the whole
+petal leaves, up to vertex numbers.  The automaton is folded, so only the
+petal's own edges can fold: its first k edges zip one by one onto the
+prefix's path and its last j onto the inverse read's path, in whatever
+order the fold takes them.  Each zip is an open folding that drops the
+petal's edge, the later one, and absorbs a fresh petal vertex; as k + j < n
+the two zips absorb disjoint petal vertices, so no petal edge becomes
+parallel to another and no folding closes.  Afterwards u has one new edge,
+reading w[k], which it could not read, and v one reading w[n-j-1]^-1,
+likewise; the two clash only in the excluded case, so nothing is left dirty,
+and nothing hangs.  The middle's inner vertices are never absorbed, so only
+its end edges change memory, by the gauges; a gauge keeps every path's
+product, so these end as the free normal forms of M^-1 and x_i S, which by
+uniqueness are the words attached.  The middle's edges come after every
+older edge by serial, as the petal's surviving edges do, so the buckets,
+the search order and every later fold step are the same.
 """
 
 from __future__ import annotations
@@ -177,20 +202,8 @@ class StallingsAutomaton:
         some letter cannot be read.  Requires a deterministic automaton, such
         as a folded one, so that the walk is unique.
         """
-        v = self.base
-        mem: list[int] = []
-        for let in word:
-            bucket = self.buckets[v][SLOT_LETTERS.index(let)]
-            if not bucket:
-                return None
-            i = bucket[0]
-            if let > 0:
-                v = self.dst[i]
-                mem.extend(self.mem[i])
-            else:
-                v = self.src[i]
-                mem.extend(invert_word(self.mem[i]))
-        return v, free_reduce(mem)
+        read, v, mem = _read(self, word)
+        return (v, mem) if read == len(word) else None
 
     # -- spanning tree and basis -------------------------------------------
 
@@ -300,18 +313,45 @@ class _SearchTree:
         return free_reduce(let for part in reversed(chain) for let in part)
 
 
-def _attach_petal(aut: StallingsAutomaton, petal: int, word: FreeWord) -> None:
-    """Add a petal reading the non-empty word at the basepoint, on fresh
-    vertices numbered after the existing ones; its last edge carries x_petal."""
-    base = aut.base
-    fresh = max(aut.vertices(), default=base) + 1
-    cur = base
-    for pos, let in enumerate(word, start=1):
-        last = pos == len(word)
-        nxt = base if last else fresh
-        if not last:
-            fresh += 1
-        mem: Word = (petal,) if last else ()
+def _read(aut: StallingsAutomaton, word: Word) -> tuple[int, int, Word]:
+    """Read the longest prefix of a word that aut can read from the
+    basepoint, taking the first edge of each bucket.
+
+    Returns (letters read, end vertex, memory product along the path,
+    freely reduced).  On a deterministic automaton the walk is unique.
+    """
+    v = aut.base
+    adj, src, dst, mems = aut.buckets, aut.src, aut.dst, aut.mem
+    mem: list[int] = []
+    read = 0
+    for let in word:
+        bucket = adj[v][SLOT_LETTERS.index(let)]
+        if not bucket:
+            break
+        i = bucket[0]
+        if let > 0:
+            v = dst[i]
+            mem.extend(mems[i])
+        else:
+            v = src[i]
+            mem.extend(invert_word(mems[i]))
+        read += 1
+    return read, v, free_reduce(mem)
+
+
+def _attach_petal(aut: StallingsAutomaton, word: FreeWord, start: int, end: int,
+                  head: Word, tail: Word) -> None:
+    """Add a path reading the non-empty word from start to end, on fresh
+    vertices numbered after the existing ones.  Read along the word, its
+    first edge carries the memory head and its last edge tail; a one-letter
+    path carries head + tail."""
+    fresh = max(aut.vertices()) + 1
+    cur = start
+    last = len(word) - 1
+    for pos, let in enumerate(word):
+        nxt = end if pos == last else fresh
+        fresh += 1
+        mem = (head if pos == 0 else ()) + (tail if pos == last else ())
         if let > 0:
             aut._add_edge(cur, let, nxt, mem)
         else:
@@ -330,7 +370,7 @@ def build_flower(words: Sequence[FreeWord]) -> StallingsAutomaton:
     trivial: list[int] = []
     for petal, word in enumerate(words, start=1):
         if word:
-            _attach_petal(aut, petal, word)
+            _attach_petal(aut, word, aut.base, aut.base, (), (petal,))
         else:
             trivial.append(petal)
     aut.trivial_petals = tuple(trivial)
@@ -502,25 +542,38 @@ class PresentationOnGenerators:
 def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
     """Rank and defining relators of the subgroup <gens> of F(p, q).
 
-    Petals are folded in one at a time.  A generator already readable in the
-    current automaton would fold on with a single closed folding, so its
-    relator E(x1..x_{i-1}) x_i^-1 is emitted directly (E being the memory
-    product along the accepting path) and the automaton is left untouched;
-    this matches reading the new generator in the old ones.  Anything else
-    is attached and folded for real, which may cascade.
+    Petals are read into the folded automaton one at a time.  Of the freely
+    reduced petal word w, n letters long, the longest prefix that reads from
+    the basepoint is read, k letters to a vertex u with memory product M.
+    If all of w reads as a loop, it would fold on with a single closed
+    folding, so its relator M x_i^-1 is emitted directly and the automaton
+    is left untouched; this matches reading the new generator in the old
+    ones.  Otherwise the inverse of the rest of w is read from the
+    basepoint, j letters to a vertex v with memory product S.  When
+    k + j < n, and not both u = v and w[k] = w[n-j-1]^-1, only the middle
+    w[k:n-j] is attached, from u to v, its first edge carrying M^-1 and its
+    last x_i S; the module docstring shows that this is exactly what
+    folding in the whole petal would leave.  Anything else is attached
+    whole and folded letterwise, which may cascade.
     """
     relators: list[Word] = []
     aut = StallingsAutomaton(0, [])
+    base = aut.base
     for petal, word in enumerate(gens, start=1):
         word = free_reduce(word)
         if not word:
             relators.append((petal,))
             continue
-        hit = aut.trace(word)
-        if hit is not None and hit[0] == aut.base:
-            relators.append(free_reduce(hit[1] + (-petal,)))
+        n = len(word)
+        k, u, head = _read(aut, word)
+        if k == n and u == base:
+            relators.append(free_reduce(head + (-petal,)))
             continue
-        _attach_petal(aut, petal, word)
+        j, v, tail = _read(aut, invert_word(word[k:]))
+        if k + j < n and not (u == v and word[k] == -word[n - j - 1]):
+            _attach_petal(aut, word[k:n - j], u, v, invert_word(head), (petal,) + tail)
+            continue
+        _attach_petal(aut, word, base, base, (), (petal,))
         steps = _fold_in_place(aut)
         relators.extend(s.relator for s in steps if s.closed)
 

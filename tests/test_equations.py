@@ -372,6 +372,10 @@ def test_context_is_its_matrices(h1, h2):
     object.__setattr__(twin, "g_word", ("a",))
     assert twin == ctx and hash(twin) == hash(ctx)
     assert HContext((h2, h1), g) != ctx and HContext((h1, h2), h1) != ctx
+    # any sequence of h_i makes the same context
+    listed = HContext([h1, h2], g)
+    assert listed.h_mats == (h1, h2)
+    assert listed == ctx and hash(listed) == hash(ctx)
     for copied in (copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
         assert copied == ctx and hash(copied) == hash(ctx)
         assert copied.h_words == ctx.h_words and copied.g_word == ctx.g_word

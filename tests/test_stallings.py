@@ -10,6 +10,7 @@ from heq.pipeline import analyze
 from heq.stallings import (
     Edge,
     FoldStep,
+    PresentationOnGenerators,
     StallingsAutomaton,
     build_flower,
     fold,
@@ -462,6 +463,50 @@ def long_generator_sets(rng):
     return [shared, [t * 2, t * 3], conjugated]
 
 
+def letterwise_presentation(gens, fold_in_place):
+    """subgroup_presentation without the read-in: a petal that does not
+    read as a loop is attached whole at the basepoint and folded letterwise
+    by fold_in_place."""
+    aut = StallingsAutomaton(0, [])
+    relators = []
+    for petal, word in enumerate(gens, start=1):
+        word = free_reduce(word)
+        if not word:
+            relators.append((petal,))
+            continue
+        hit = aut.trace(word)
+        if hit is not None and hit[0] == aut.base:
+            relators.append(free_reduce(hit[1] + (-petal,)))
+            continue
+        stallings._attach_petal(aut, word, aut.base, aut.base, (), (petal,))
+        relators.extend(s.relator for s in fold_in_place(aut) if s.closed)
+    return PresentationOnGenerators(len(gens), aut.rank(), tuple(relators))
+
+
+# (q p)^15, then a middle, then (q p)^15 again: the second and third
+# petals read both ends and attach only their three-letter middles
+_QP15 = " ".join(["q p"] * 15)
+# (generator set, how often subgroup_presentation folds), at the
+# boundaries of the read-in: a petal reads its longest prefix, k letters to
+# u, and the inverse of the rest, j letters to v, and attaches only its
+# middle when k + j < n and not both u = v and w[k] = w[n-j-1]^-1
+BOUNDARY_SETS = {
+    # (a) a one-letter middle p^-1, from the basepoint to the vertex
+    # halfway round the q^2 loop
+    "one-letter-middle": (["q^2", "q^-2 p^-1 q^-1"], 0),
+    # (b) both reads end at the basepoint and the middle q p^-1 q^-1
+    # would start and end on inverse letters there: it must fold
+    "fronts-meet-and-cancel": (["p", "p q p^-1 q^-1 p^-1"], 1),
+    # (c) p^-1 reads fully but ends off the basepoint: it must fold
+    "reads-off-the-basepoint": (["p^-2", "p^-1"], 1),
+    # (d) the first petal is not cyclically reduced: it must fold
+    "cyclically-unreduced-first": (["p q^-1 p^-1", "q"], 1),
+    # (e) the middle p^-2 starts and ends on a negative letter
+    "negative-letters-at-both-ends": (["p^-1 q^-1 p^-1", "p^-4"], 0),
+    "long-ends": ([f"{_QP15} {m} {_QP15}" for m in ("p q p", "q^2 p^-1", "q^-1 p q")], 0),
+}
+
+
 # every word of length at most 2, traced on each folded automaton
 SHORT_WORDS = [w for n in range(3) for w in product((1, -1, 2, -2), repeat=n)]
 
@@ -481,7 +526,8 @@ def _fold_outputs(aut, words):
 
 
 def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
-    sets = [random_generator_set(rng) for _ in range(250)] + long_generator_sets(rng)
+    sets = ([random_generator_set(rng) for _ in range(250)] + long_generator_sets(rng)
+            + [[pw(w) for w in gens] for gens, _ in BOUNDARY_SETS.values()])
     automata = [(build_flower(gens), gens + SHORT_WORDS) for gens in sets] + [
         (StallingsAutomaton(0, edges), SHORT_WORDS) for edges in (
             # a component the basepoint cannot reach is dropped, dirty
@@ -499,13 +545,32 @@ def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
              Edge(4, 1, 5)],
         )
     ]
+    # expected presentations fold every petal letterwise; the engine's
+    # read-in must leave the same rank and relators
     with monkeypatch.context() as patch:
         use_reference(patch)
         expected = ([_fold_outputs(*case) for case in automata],
-                    [subgroup_presentation(gens) for gens in sets])
+                    [letterwise_presentation(gens, reference_fold_in_place) for gens in sets])
     actual = ([_fold_outputs(*case) for case in automata],
               [subgroup_presentation(gens) for gens in sets])
     assert actual == expected
+    assert [letterwise_presentation(gens, stallings._fold_in_place)
+            for gens in sets] == expected[1]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SETS))
+def test_clean_petals_are_never_folded(name, monkeypatch):
+    """A petal whose middle attaches cleanly never calls the fold, so the
+    read-in cannot go dead unnoticed; every other petal folds."""
+    words, expected_folds = BOUNDARY_SETS[name]
+    gens = [pw(w) for w in words]
+    reference = letterwise_presentation(gens, stallings._fold_in_place)
+    calls = []
+    fold_in_place = stallings._fold_in_place
+    monkeypatch.setattr(stallings, "_fold_in_place",
+                        lambda aut: calls.append(aut) or fold_in_place(aut))
+    assert subgroup_presentation(gens) == reference
+    assert len(calls) == expected_folds
 
 
 # sha256 of (subgroup_presentation's rank, the flower fold's basis,
