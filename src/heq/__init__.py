@@ -38,15 +38,12 @@ from .pipeline import (
     analyze,
     verify,
 )
-from .psl2 import IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, order
-from .schreier import SchreierGraph, build_schreier, coset_of, subgroup_generators
+from .psl2 import IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2
+from .schreier import SchreierGraph, build_schreier, subgroup_generators
 from .stallings import (
-    FoldingLog,
     PresentationOnGenerators,
     StallingsAutomaton,
-    build_flower,
-    fold,
-    stallings_membership,
+    fold_generators,
     subgroup_presentation,
 )
 from .words import (
@@ -56,7 +53,6 @@ from .words import (
     eval_ab,
     format_ab_word,
     image_pair,
-    parse_ab_word,
     quotient_order,
     reduce_ab,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "CrossCheckResult",
     "EnumerationResult",
     "EqWord",
-    "FoldingLog",
     "FreeWord",
     "HContext",
     "HEquation",
@@ -87,15 +82,13 @@ __all__ = [
     "VerificationResult",
     "abelianize",
     "analyze",
-    "build_flower",
     "build_schreier",
-    "coset_of",
     "cross_check",
     "decompose",
     "enumerate_kernel",
     "eval_ab",
     "evaluate",
-    "fold",
+    "fold_generators",
     "format_ab_word",
     "format_eq_word",
     "format_free_word",
@@ -103,8 +96,6 @@ __all__ = [
     "image_pair",
     "invert_word",
     "matrix_to_free_word",
-    "order",
-    "parse_ab_word",
     "parse_eq_word",
     "parse_free_word",
     "pq_to_matrix",
@@ -113,7 +104,6 @@ __all__ = [
     "reduce_equation",
     "render_equation",
     "rewrite_kernel",
-    "stallings_membership",
     "subgroup_generators",
     "subgroup_presentation",
     "substitute",

@@ -172,9 +172,6 @@ class HEquation:
     def degree(self) -> int:
         return len(self.signs)
 
-    def is_balanced(self) -> bool:
-        return sum(self.signs) == 0
-
     def is_trivial(self) -> bool:
         return self.degree == 0 and self.coeffs[0][0] == IDENTITY
 

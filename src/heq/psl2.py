@@ -30,7 +30,6 @@ as they are.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 from typing import Iterable
 
@@ -134,33 +133,3 @@ MAT_A = ProjMat2(0, -1, 1, 0)
 MAT_B = ProjMat2(1, -1, 1, 0)
 MAT_P = ProjMat2(2, -1, -1, 1)
 MAT_Q = ProjMat2(2, 1, 1, 1)
-
-
-def order(m: ProjMat2) -> int | float:
-    """Torsion order of m in PSL2(Z): one of 1, 2, 3 or math.inf.
-
-    The answer is read off the trace of the normalized representative
-    (0 -> order 2, +-1 -> order 3, anything else nontrivial -> infinite) and
-    then re-verified by explicit powering, so it does not depend on the
-    trace criterion being right.
-    """
-    if m == IDENTITY:
-        return 1
-    tr = abs(m.e11 + m.e22)
-    if tr == 0:
-        guess: int | float = 2
-    elif tr == 1:
-        guess = 3
-    else:
-        guess = math.inf
-    m2 = m * m
-    m3 = m2 * m
-    if guess == 2:
-        confirmed = m2 == IDENTITY
-    elif guess == 3:
-        confirmed = m2 != IDENTITY and m3 == IDENTITY
-    else:
-        confirmed = m2 != IDENTITY and m3 != IDENTITY
-    if not confirmed:
-        raise RuntimeError(f"trace criterion gave order {guess} for {m}")
-    return guess

@@ -88,14 +88,6 @@ def subgroup_generators(graph: SchreierGraph) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def coset_of(graph: SchreierGraph, word: Word) -> int:
-    """Terminal vertex of the path reading the word from the basepoint."""
-    v = 0
-    for let in word:
-        v = graph.trans[(v, let)]
-    return v
-
-
 def to_dot(graph: SchreierGraph) -> str:
     """DOT dump with representative-word labels; tree edges are bold."""
     lines = ["digraph schreier {", "  rankdir=LR;"]

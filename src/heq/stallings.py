@@ -1,9 +1,11 @@
-"""Stallings automata over {p, q}: folding, membership and presentations.
+"""Stallings automata over {p, q}: the folded automaton of a subgroup and
+the presentation its folds read off.
 
-A flower automaton has one petal per generator word.  Folding merges edges
-that violate determinism or co-determinism; a folding step is *closed* when
-the two merged edges are already parallel, and each closed step kills one
-free-group relation among the petals.
+fold_generators builds the folded automaton of <v_1..v_p> petal by petal,
+a petal being a loop at the basepoint that reads one generator word.
+Folding merges edges that violate determinism or co-determinism; a folding
+step is *closed* when the two merged edges are already parallel, and each
+closed step kills one free-group relation among the petals.
 
 To recover those relations, every edge carries a memory word over abstract
 petal letters x1..xp.  The invariant maintained throughout is that the
@@ -41,22 +43,22 @@ One breadth-first search from the basepoint, _SearchTree, serves the fold
 and every reader.  It keeps its queue, each discovered vertex's queue
 position and tree edge, and per processed vertex the queue length when its
 processing began.  bfs_order lists the queue of a tree grown to the end;
-canonical_edges, dump and fold number vertices by it, and basis_words reads
-one loop per non-tree edge off the tree paths.  The fold keeps one tree for
-the whole fold and resumes it, never restarts it.  How the search processes
-a vertex depends only on that vertex's buckets and the far ends of its
-edges, so the state before processing a vertex stays valid while no vertex
-processed earlier is touched.  An open folding at v that absorbs y into z
-touches v, z and y's neighbours, among them whichever vertex discovered y;
-the tree rewinds to just before the first of these it processed, and the
-next step takes the first dirty vertex it has discovered, or else grows on.
+canonical_edges numbers vertices by it, and basis_words reads one loop per
+non-tree edge off the tree paths.  The fold keeps one tree for the whole
+fold and resumes it, never restarts it.  How the search processes a vertex
+depends only on that vertex's buckets and the far ends of its edges, so
+the state before processing a vertex stays valid while no vertex processed
+earlier is touched.  An open folding at v that absorbs y into z touches v,
+z and y's neighbours, among them whichever vertex discovered y; the tree
+rewinds to just before the first of these it processed, and the next step
+takes the first dirty vertex it has discovered, or else grows on.
 A closed folding touches no search state: the dropped edge comes after its
 parallel twin in both end buckets, so it never discovered a vertex.  A
 closed folding multiplies out the memories along the tree path to its
 target, growing the tree on to that target if it has not been discovered.
 
-subgroup_presentation reads each petal into the folded automaton before it
-folds anything.  Of petal i's reduced word w, n letters long, it reads the
+fold_generators reads each petal into the folded automaton before it folds
+anything.  Of petal i's reduced word w, n letters long, it reads the
 longest prefix from the basepoint, k letters to u with memory product M,
 and the inverse of the rest, j letters to v with memory product S.  When
 k + j < n, and not both u = v and w[k] = w[n-j-1]^-1, it attaches only the
@@ -93,7 +95,6 @@ from .freewords import (
     format_word,
     free_reduce,
     invert_word,
-    PQ_NAMES,
     substitute,
 )
 
@@ -117,30 +118,15 @@ class FoldStep:
     relator: Word | None = None
 
 
-@dataclass(frozen=True)
-class FoldingLog:
-    steps: tuple[FoldStep, ...]
-
-    @property
-    def closed_count(self) -> int:
-        return sum(1 for s in self.steps if s.closed)
-
-    @property
-    def relators(self) -> tuple[Word, ...]:
-        return tuple(s.relator for s in self.steps if s.closed)
-
-
 class StallingsAutomaton:
     """Labeled based graph, stored as the module docstring states.
 
-    fold() returns a folded copy with its log.  Neither changes afterwards,
-    but subgroup_presentation grows and folds its own working automaton in
-    place.  trivial_petals lists the petals build_flower could not attach.
+    fold_generators grows and folds one in place and returns it folded; the
+    readers below leave it unchanged.
     """
 
     def __init__(self, base: int, edges: Iterable[Edge]):
         self.base = base
-        self.trivial_petals: tuple[int, ...] = ()
         self.src: list[int] = []
         self.dst: list[int] = []
         self.labels: list[int] = []
@@ -220,22 +206,13 @@ class StallingsAutomaton:
                                  + invert_word(tree.path(dst[i], letters)))
                      for i in nontree)
 
-    # -- canonical form and dump -------------------------------------------
+    # -- canonical form ----------------------------------------------------
 
     def canonical_edges(self) -> tuple[tuple[int, int, int], ...]:
         """Edges renumbered by BFS order; equal iff automata are isomorphic
         as based labeled graphs (for folded automata)."""
         index = {v: i for i, v in enumerate(self.bfs_order())}
         return tuple(sorted((index[e.src], e.label, index[e.dst]) for e in self.edges))
-
-    def dump(self) -> str:
-        """One line per edge 'src --label--> dst' of canonical_edges; the
-        basepoint, vertex 0, prints as 0*."""
-        def name(v: int) -> str:
-            return f"{v}*" if v == 0 else str(v)
-
-        return "\n".join(f"{name(src)} --{PQ_NAMES[label - 1]}--> {name(dst)}"
-                          for src, label, dst in self.canonical_edges())
 
 
 class _SearchTree:
@@ -359,24 +336,6 @@ def _attach_petal(aut: StallingsAutomaton, word: FreeWord, start: int, end: int,
         cur = nxt
 
 
-def build_flower(words: Sequence[FreeWord]) -> StallingsAutomaton:
-    """Flower automaton: one petal per word, all attached at the basepoint.
-
-    Empty words cannot form a petal; their (1-based) indices are recorded in
-    trivial_petals and fold() turns each into the immediate relator x_i.
-    The last edge of petal i carries the memory letter x_i.
-    """
-    aut = StallingsAutomaton(0, [])
-    trivial: list[int] = []
-    for petal, word in enumerate(words, start=1):
-        if word:
-            _attach_petal(aut, word, aut.base, aut.base, (), (petal,))
-        else:
-            trivial.append(petal)
-    aut.trivial_petals = tuple(trivial)
-    return aut
-
-
 # ---------------------------------------------------------------------------
 # folding engine
 # ---------------------------------------------------------------------------
@@ -490,32 +449,6 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
     return steps
 
 
-def fold(aut: StallingsAutomaton) -> tuple[StallingsAutomaton, FoldingLog]:
-    """Fold the basepoint's component of an automaton; returns the folded
-    copy and the step log.
-
-    Edges the basepoint cannot reach are left out of the copy.  Trivial
-    petals recorded by build_flower surface as immediate closed steps with
-    relator x_i.  Folding an already-folded automaton returns it unchanged
-    with an empty log.
-    """
-    reached = set(aut.bfs_order())
-    work = StallingsAutomaton(aut.base, [e for e in aut.edges if e.src in reached])
-    steps = [FoldStep(True, 0, (i,)) for i in aut.trivial_petals]
-    steps += _fold_in_place(work)
-    return work, FoldingLog(tuple(steps))
-
-
-def stallings_membership(aut: StallingsAutomaton, word: FreeWord) -> bool:
-    """True iff the word, freely reduced, labels a closed path at the
-    basepoint.  Raises ValueError unless aut is deterministic: no bucket
-    holds two edges."""
-    if any(len(bucket) > 1 for buckets in aut.buckets.values() for bucket in buckets):
-        raise ValueError("membership requires a deterministic automaton")
-    hit = aut.trace(free_reduce(word))
-    return hit is not None and hit[0] == aut.base
-
-
 # ---------------------------------------------------------------------------
 # subgroup presentations
 # ---------------------------------------------------------------------------
@@ -527,7 +460,7 @@ class PresentationOnGenerators:
     relators are words over abstract letters x1..xp (p = generator_count);
     substituting gens[i-1] for x_i in any relator freely reduces to the
     empty word, and the relators normally generate the kernel of x_i -> gens[i-1].
-    A free basis of <gens> is fold(build_flower(gens))[0].basis_words().
+    A free basis of <gens> is fold_generators(gens)[0].basis_words().
     """
 
     generator_count: int
@@ -539,22 +472,23 @@ class PresentationOnGenerators:
         return tuple(format_word(r, names) for r in self.relators)
 
 
-def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
-    """Rank and defining relators of the subgroup <gens> of F(p, q).
+def fold_generators(gens: Sequence[FreeWord]) -> tuple[StallingsAutomaton, tuple[Word, ...]]:
+    """The folded automaton of the subgroup <gens> of F(p, q), and the
+    relators its folds read off, over abstract letters x1..xp.
 
     Petals are read into the folded automaton one at a time.  Of the freely
     reduced petal word w, n letters long, the longest prefix that reads from
     the basepoint is read, k letters to a vertex u with memory product M.
-    If all of w reads as a loop, it would fold on with a single closed
-    folding, so its relator M x_i^-1 is emitted directly and the automaton
-    is left untouched; this matches reading the new generator in the old
-    ones.  Otherwise the inverse of the rest of w is read from the
-    basepoint, j letters to a vertex v with memory product S.  When
-    k + j < n, and not both u = v and w[k] = w[n-j-1]^-1, only the middle
-    w[k:n-j] is attached, from u to v, its first edge carrying M^-1 and its
-    last x_i S; the module docstring shows that this is exactly what
-    folding in the whole petal would leave.  Anything else is attached
-    whole and folded letterwise, which may cascade.
+    An empty w gives the relator x_i.  If all of w reads as a loop, it would
+    fold on with a single closed folding, so its relator M x_i^-1 is emitted
+    directly and the automaton is left untouched; this matches reading the
+    new generator in the old ones.  Otherwise the inverse of the rest of w
+    is read from the basepoint, j letters to a vertex v with memory product
+    S.  When k + j < n, and not both u = v and w[k] = w[n-j-1]^-1, only the
+    middle w[k:n-j] is attached, from u to v, its first edge carrying M^-1
+    and its last x_i S; the module docstring shows that this is exactly what
+    folding in the whole petal would leave.  Anything else is attached whole
+    and folded letterwise, which may cascade.
     """
     relators: list[Word] = []
     aut = StallingsAutomaton(0, [])
@@ -576,7 +510,14 @@ def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
         _attach_petal(aut, word, base, base, (), (petal,))
         steps = _fold_in_place(aut)
         relators.extend(s.relator for s in steps if s.closed)
+    return aut, tuple(relators)
 
+
+def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
+    """Rank and defining relators of the subgroup <gens> of F(p, q), read
+    off fold_generators and checked: there are p - rank relators, and each
+    one substituted in gens freely reduces to the empty word."""
+    aut, relators = fold_generators(gens)
     rank = aut.rank()
     if len(relators) != len(gens) - rank:
         raise RuntimeError(
@@ -584,4 +525,4 @@ def subgroup_presentation(gens: Sequence[FreeWord]) -> PresentationOnGenerators:
     for rel in relators:
         if substitute(rel, gens):
             raise RuntimeError("relator does not evaluate to the identity")
-    return PresentationOnGenerators(len(gens), rank, tuple(relators))
+    return PresentationOnGenerators(len(gens), rank, relators)

@@ -159,23 +159,6 @@ def quotient_order(images: Iterable[int]) -> int:
     return QUOTIENT_ORDER // gcd(QUOTIENT_ORDER, *images)
 
 
-# the names parse_ab_word reads, and the reduce_ab letter of each signed one
-_AB_NAMES = ("a", "b", "b2")
-_AB_LETTER = {1: "a", -1: "a", 2: "b", -2: "b2", 3: "b2", -3: "b"}
-
-
-def parse_ab_word(text: str) -> ABWord:
-    """Parse 'b a b2 a' / 'b a b^2 a' into a normal-form ABWord.
-
-    The grammar is freewords.parse_word's over the names a, b, b2: tokens
-    separated by whitespace or commas, each with an optional integer
-    exponent, so unspaced text such as 'bab2a' is refused with ValueError.
-    """
-    from .freewords import parse_word
-
-    return reduce_ab(map(_AB_LETTER.__getitem__, parse_word(text, _AB_NAMES)))
-
-
 def format_ab_word(word: ABWord) -> str:
     """Human form, with b^2 for the squared syllable.  Empty word -> ''."""
     return " ".join("b^2" if syl == "b2" else syl for syl in word)

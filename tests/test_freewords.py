@@ -1,7 +1,7 @@
 import pytest
 
 from heq.psl2 import IDENTITY, ProjMat2
-from heq.words import abelianize, eval_ab, parse_ab_word, reduce_ab
+from heq.words import abelianize, eval_ab, reduce_ab
 from heq.freewords import (
     NotInKernel,
     PQ_NAMES,
@@ -40,8 +40,8 @@ def test_pq_to_matrix_examples():
 
 def test_pq_basis_words():
     # p = a b^2 a b and q = b a b^2 a
-    assert pq_to_matrix((1,)) == eval_ab(parse_ab_word("a b2 a b"))
-    assert pq_to_matrix((2,)) == eval_ab(parse_ab_word("b a b2 a"))
+    assert pq_to_matrix((1,)) == eval_ab(("a", "b2", "a", "b"))
+    assert pq_to_matrix((2,)) == eval_ab(("b", "a", "b2", "a"))
 
 
 _WRONG_P = """
@@ -73,7 +73,7 @@ def test_gamma_table_against_transversal():
 
 
 def test_rewrite_kernel_examples():
-    assert rewrite_kernel(parse_ab_word("b a b2 a")) == parse_free_word("q")
+    assert rewrite_kernel(("b", "a", "b2", "a")) == parse_free_word("q")
     h2 = ProjMat2(2, -5, 1, -2)
     v5 = h2 * ProjMat2(5, 3, 3, 2) * h2.inv()
     assert matrix_to_free_word(v5) == parse_free_word("q p q^-2 p^-1 q^-1")
@@ -84,7 +84,7 @@ def test_rewrite_kernel_examples():
 
 def test_rewrite_kernel_rejects_nonkernel():
     with pytest.raises(NotInKernel):
-        rewrite_kernel(parse_ab_word("a"))
+        rewrite_kernel(("a",))
 
 
 def test_rewrite_kernel_round_trip(rng):

@@ -105,7 +105,7 @@ def test_conjugacy_intersection_is_algebraic():
     t2 = ProjMat2(1, 2, 0, 1)
     report = analyze([t2], t)
     assert report.verdict == VERDICT_ALGEBRAIC
-    assert any(eq.is_balanced() and eq.degree == 2
+    assert any(sum(eq.signs) == 0 and eq.degree == 2
                for eq in report.nontrivial_ideal_equations())
 
 

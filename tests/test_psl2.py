@@ -1,10 +1,9 @@
-import math
 from collections import Counter
 
 import pytest
 
 from heq.psl2 import (
-    IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, _product, order,
+    IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, _product,
 )
 
 from conftest import random_matrix
@@ -104,30 +103,6 @@ def test_product_of_entries_matches_object_products(rng):
                    for m in mats]
         assert tuple(_product(factors)) == tuple(want)
     assert _product([]) == IDENTITY
-
-
-def test_order_examples():
-    assert order(IDENTITY) == 1
-    assert order(MAT_A) == 2
-    assert order(MAT_B) == 3
-    assert order(ProjMat2(2, -5, 1, -2)) == 2
-    assert order(MAT_P) == math.inf
-    assert order(MAT_Q) == math.inf
-    assert order(ProjMat2(1, 1, 0, 1)) == math.inf  # parabolic
-
-
-def test_order_consistent_with_powering(rng):
-    for _ in range(100):
-        m = random_matrix(rng)
-        k = order(m)
-        if k == 1:
-            assert m == IDENTITY
-        elif k == 2:
-            assert m != IDENTITY and m * m == IDENTITY
-        elif k == 3:
-            assert m * m != IDENTITY and m * m * m == IDENTITY
-        else:
-            assert m * m != IDENTITY and m * m * m != IDENTITY
 
 
 def test_associativity_spot_check(rng):

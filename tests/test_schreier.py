@@ -6,7 +6,6 @@ from heq.freewords import Word, free_reduce, format_word, invert_word
 from heq.schreier import (
     SchreierGraph,
     build_schreier,
-    coset_of,
     subgroup_generators,
     to_dot,
 )
@@ -138,14 +137,21 @@ def test_regularity_and_inverse_transitions():
 
 def test_coset_of_examples(rng):
     graph = build_schreier(("a", "b"), AB_IMAGES)
-    assert coset_of(graph, ()) == 0
+
+    def coset_of(word):  # end vertex of the walk reading word from the basepoint
+        v = 0
+        for let in word:
+            v = graph.trans[(v, let)]
+        return v
+
+    assert coset_of(()) == 0
     # the coset of ab is the vertex whose representative has image 1 = (1,1)
-    v = coset_of(graph, (1, 2))
+    v = coset_of((1, 2))
     assert word_image(AB_IMAGES, graph.reps[v]) == 1
     oracle = image_oracle(AB_IMAGES)
     for _ in range(100):
         word = free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(13)))
-        assert oracle(word) == (coset_of(graph, word) == 0)
+        assert oracle(word) == (coset_of(word) == 0)
 
 
 def test_tree_reps_are_prefix_closed():

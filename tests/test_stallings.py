@@ -12,9 +12,7 @@ from heq.stallings import (
     FoldStep,
     PresentationOnGenerators,
     StallingsAutomaton,
-    build_flower,
-    fold,
-    stallings_membership,
+    fold_generators,
     subgroup_presentation,
 )
 from heq.words import eval_ab
@@ -36,31 +34,64 @@ def substitute_free(relator, gens):
     return free_reduce(out)
 
 
+def build_flower(gens):
+    """The flower automaton, the reference the read-in is checked against:
+    one petal per word, attached whole at the basepoint, the last edge of
+    petal i carrying x_i.  An empty word gives no petal but the closed
+    step with relator x_i, returned in the list of such steps."""
+    aut = StallingsAutomaton(0, [])
+    trivial = []
+    for petal, word in enumerate(gens, start=1):
+        if word:
+            stallings._attach_petal(aut, word, aut.base, aut.base, (), (petal,))
+        else:
+            trivial.append(FoldStep(True, 0, (petal,)))
+    return aut, trivial
+
+
+def flower_fold(gens):
+    """The flower folded in one go by stallings._fold_in_place, as looked
+    up at the call: (the folded automaton, every fold step)."""
+    aut, steps = build_flower(gens)
+    return aut, steps + stallings._fold_in_place(aut)
+
+
+def reads_loop(aut, word):
+    """True iff the word, freely reduced, labels a closed path at the
+    basepoint of aut, which must be deterministic."""
+    assert all(len(bucket) <= 1 for buckets in aut.buckets.values() for bucket in buckets)
+    hit = aut.trace(free_reduce(word))
+    return hit is not None and hit[0] == aut.base
+
+
 def test_build_flower_sizes():
-    assert len(build_flower([pw("p")]).edges) == 1
-    flower = build_flower([pw("p"), pw("q^2")])
+    assert len(build_flower([pw("p")])[0].edges) == 1
+    flower, _ = build_flower([pw("p"), pw("q^2")])
     assert len(flower.edges) == 3
-    assert len(build_flower(V43).edges) == sum(len(w) for w in V43)
+    assert len(build_flower(V43)[0].edges) == sum(len(w) for w in V43)
 
 
 def test_build_flower_records_empty_words():
-    flower = build_flower([(), pw("p"), ()])
-    assert flower.trivial_petals == (1, 3)
-    _, log = fold(flower)
-    assert ((1,), (3,)) == log.relators[:2]
+    flower, trivial = build_flower([(), pw("p"), ()])
+    assert trivial == [FoldStep(True, 0, (1,)), FoldStep(True, 0, (3,))]
+    assert len(flower.edges) == 1
+    _, steps = flower_fold([(), pw("p"), ()])
+    assert [s.relator for s in steps] == [(1,), (3,)]
+    # the read-in emits the same relators for them, in petal order
+    assert fold_generators([(), pw("p"), ()])[1] == ((1,), (3,))
 
 
 def test_fold_idempotent():
-    aut, _ = fold(build_flower(V43))
-    again, log = fold(aut)
-    assert log.steps == ()
-    assert again.canonical_edges() == aut.canonical_edges()
+    aut, _ = fold_generators(V43)
+    before = aut.canonical_edges()
+    assert stallings._fold_in_place(aut) == []
+    assert aut.canonical_edges() == before
 
 
 def test_fold_first_example_shape():
-    aut, log = fold(build_flower(V43))
+    aut, relators = fold_generators(V43)
     assert aut.rank() == 4
-    assert log.closed_count == 0
+    assert relators == ()
     # expected shape: two p-loops at the ends of a q-ladder of four
     # vertices, with a p-bridge in the middle
     fig = StallingsAutomaton(0, [
@@ -71,52 +102,47 @@ def test_fold_first_example_shape():
 
 
 def test_fold_second_example_counts():
-    aut, log = fold(build_flower(V44))
+    aut, relators = fold_generators(V44)
     assert aut.rank() == 2
-    assert log.closed_count == 10
-    assert len(log.relators) == 10
-    assert all(rel for rel in log.relators)
+    assert len(relators) == 10
+    assert all(rel for rel in relators)
 
 
 def test_fold_confluent_orders():
     for gens in (V43, V44, [pw("p^3"), pw("p^2")], [pw("p q"), pw("q p")]):
-        a0, log0 = fold(build_flower(gens))
-        a1, log1 = fold(build_flower(gens[::-1]))
+        a0, rels0 = fold_generators(gens)
+        a1, rels1 = fold_generators(gens[::-1])
         assert a0.rank() == a1.rank()
-        assert log0.closed_count == log1.closed_count
+        assert len(rels0) == len(rels1)
         assert a0.canonical_edges() == a1.canonical_edges()
 
 
 def test_membership_on_first_example_automaton():
-    aut, _ = fold(build_flower(V43))
-    assert stallings_membership(aut, ())
-    assert stallings_membership(aut, pw("p"))
-    assert not stallings_membership(aut, pw("q"))
+    aut, _ = fold_generators(V43)
+    assert reads_loop(aut, ())
+    assert reads_loop(aut, pw("p"))
+    assert not reads_loop(aut, pw("q"))
     for word in V43:
-        assert stallings_membership(aut, word)
-    assert not stallings_membership(aut, pw("q p"))
+        assert reads_loop(aut, word)
+    assert not reads_loop(aut, pw("q p"))
     # unreduced words are reduced first: q p^-1 p q^-1 is trivial, though
     # p^-1 cannot be read after q
-    assert stallings_membership(aut, (2, -1, 1, -2))
-    q_aut, _ = fold(build_flower([pw("q")]))
-    assert stallings_membership(q_aut, (1, -1))
-
-
-def test_membership_requires_folded():
-    with pytest.raises(ValueError):
-        stallings_membership(build_flower(V43), pw("p"))
+    assert reads_loop(aut, (2, -1, 1, -2))
+    q_aut, _ = fold_generators([pw("q")])
+    assert reads_loop(q_aut, (1, -1))
 
 
 def test_membership_on_deterministic_flower():
     # the flower of p q has nothing to fold, so it is read as it stands
-    flower = build_flower([pw("p q")])
-    folded, log = fold(flower)
-    assert log.steps == ()
+    flower, _ = build_flower([pw("p q")])
+    folded, steps = flower_fold([pw("p q")])
+    assert steps == []
     words = [w for n in range(5) for w in product((1, -1, 2, -2), repeat=n)]
-    answers = [stallings_membership(flower, w) for w in words]
-    assert answers == [stallings_membership(folded, w) for w in words]
-    assert stallings_membership(flower, pw("q^-1 p^-1 p q p q"))
-    assert not stallings_membership(flower, pw("q p"))
+    answers = [reads_loop(flower, w) for w in words]
+    assert answers == [reads_loop(folded, w) for w in words]
+    assert answers == [reads_loop(fold_generators([pw("p q")])[0], w) for w in words]
+    assert reads_loop(flower, pw("q^-1 p^-1 p q p q"))
+    assert not reads_loop(flower, pw("q p"))
 
 
 def test_presentation_free_pair():
@@ -163,7 +189,7 @@ def test_presentation_cascade_collapse():
     pres = subgroup_presentation([pw("p^2"), pw("p^3")])
     assert (pres.rank, len(pres.relators)) == (1, 1)
     assert substitute_free(pres.relators[0], [pw("p^2"), pw("p^3")]) == ()
-    aut, _ = fold(build_flower([pw("p^2"), pw("p^3")]))
+    aut, _ = fold_generators([pw("p^2"), pw("p^3")])
     assert aut.basis_words() == (pw("p"),)
 
 
@@ -178,14 +204,12 @@ def test_presentation_random_tuples(rng):
         for rel in pres.relators:
             assert rel, "trivial relator emitted"
             assert substitute_free(rel, gens) == ()
-        # the one-shot flower fold must agree on rank and closed-fold count
-        aut, log = fold(build_flower(gens))
-        assert aut.rank() == pres.rank == len(aut.basis_words())
-        assert log.closed_count == len(pres.relators)
-        # basis words generate: each original generator is readable
-        for w in gens:
-            if w:
-                assert stallings_membership(aut, w)
+        aut, relators = fold_generators(gens)
+        assert relators == pres.relators
+        assert pres.rank == aut.rank() == len(aut.basis_words())
+        # deterministic: no bucket holds two edges
+        for buckets in aut.buckets.values():
+            assert all(len(bucket) <= 1 for bucket in buckets)
         # core automaton: no hanging trees away from the basepoint
         degree = {}
         for e in aut.edges:
@@ -194,34 +218,22 @@ def test_presentation_random_tuples(rng):
         for v in aut.vertices():
             if v != aut.base:
                 assert degree.get(v, 0) >= 2
+        # each generator reads as a loop at the basepoint
+        for w in gens:
+            if w:
+                assert reads_loop(aut, w)
+        # the one-shot flower fold gives the same automaton and as many
+        # closed folds as relators
+        flower, steps = flower_fold(gens)
+        assert flower.canonical_edges() == aut.canonical_edges()
+        assert flower.basis_words() == aut.basis_words()
+        assert sum(step.closed for step in steps) == len(pres.relators)
 
 
 def test_basis_matches_matrices():
-    aut, _ = fold(build_flower(V43))
+    aut, _ = fold_generators(V43)
     values = {pq_to_matrix(b) for b in aut.basis_words()}
     assert pq_to_matrix(pw("p")) in values
-
-
-def test_fold_drops_unreachable_components():
-    # fold keeps only the basepoint's component, the one the readers number
-    # and rank() should count: a 2-cycle and a figure-eight off the
-    # basepoint are dropped
-    for far in ([Edge(5, 1, 6), Edge(6, 1, 5)],
-                [Edge(5, 1, 5), Edge(5, 2, 5)]):
-        aut, log = fold(StallingsAutomaton(0, [Edge(0, 1, 0)] + far))
-        assert log.steps == ()
-        assert aut.vertices() == {0}
-        assert aut.rank() == len(aut.basis_words()) == 1
-        assert aut.basis_words() == ((1,),)
-        assert aut.dump() == "0* --p--> 0*"
-        assert aut.canonical_edges() == ((0, 1, 0),)
-
-
-def test_dump_format():
-    aut, _ = fold(build_flower(V43))
-    text = aut.dump()
-    assert "--p-->" in text and "--q-->" in text
-    assert "0*" in text
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +403,13 @@ def reference_fold_in_place(aut):
     return steps
 
 
-# dump and canonical_edges read the patched bfs_order
+# canonical_edges reads the patched bfs_order
 READERS = ("rank", "bfs_order", "trace", "basis_words")
 
 
 def use_reference(patch):
     """Fold with the reference folder and read every automaton through
-    ListAutomaton, subgroup_presentation's reads included."""
+    ListAutomaton."""
     patch.setattr(stallings, "_fold_in_place", reference_fold_in_place)
     for name in READERS:
         method = getattr(ListAutomaton, name)
@@ -463,10 +475,10 @@ def long_generator_sets(rng):
     return [shared, [t * 2, t * 3], conjugated]
 
 
-def letterwise_presentation(gens, fold_in_place):
-    """subgroup_presentation without the read-in: a petal that does not
-    read as a loop is attached whole at the basepoint and folded letterwise
-    by fold_in_place."""
+def letterwise_fold(gens, fold_in_place):
+    """fold_generators without the read-in: a petal that does not read as
+    a loop is attached whole at the basepoint and folded letterwise by
+    fold_in_place."""
     aut = StallingsAutomaton(0, [])
     relators = []
     for petal, word in enumerate(gens, start=1):
@@ -480,7 +492,13 @@ def letterwise_presentation(gens, fold_in_place):
             continue
         stallings._attach_petal(aut, word, aut.base, aut.base, (), (petal,))
         relators.extend(s.relator for s in fold_in_place(aut) if s.closed)
-    return PresentationOnGenerators(len(gens), aut.rank(), tuple(relators))
+    return aut, tuple(relators)
+
+
+def letterwise_presentation(gens, fold_in_place):
+    """subgroup_presentation over letterwise_fold."""
+    aut, relators = letterwise_fold(gens, fold_in_place)
+    return PresentationOnGenerators(len(gens), aut.rank(), relators)
 
 
 # (q p)^15, then a middle, then (q p)^15 again: the second and third
@@ -511,51 +529,59 @@ BOUNDARY_SETS = {
 SHORT_WORDS = [w for n in range(3) for w in product((1, -1, 2, -2), repeat=n)]
 
 
-def _edge_tuples(aut):
-    return [(e.src, e.label, e.dst, e.mem) for e in aut.edges]
+# connected automata built by hand, each folded as it stands
+HAND_BUILT = (
+    # the only dirty vertex lies away from the basepoint: parallel loops
+    [Edge(0, 1, 1), Edge(1, 2, 1, (1,)), Edge(1, 2, 1, (2,)), Edge(1, 1, 0)],
+    # parallel loops at the basepoint
+    [Edge(0, 1, 0, (1,)), Edge(0, 1, 0, (2,)), Edge(0, 2, 1, (3,)), Edge(1, 2, 0)],
+    # two q-edges fold at the basepoint, then a path hangs off it
+    [Edge(0, 1, 0), Edge(0, 2, 1), Edge(1, 1, 2), Edge(2, 2, 3), Edge(0, 2, 4, (1,)),
+     Edge(4, 1, 5)],
+)
 
 
-def _fold_outputs(aut, words):
-    """What fold and every reader give on aut."""
-    before = _edge_tuples(aut)
-    folded, log = fold(aut)
-    reads = [folded.bfs_order(), folded.rank(), [folded.trace(w) for w in words],
-             folded.basis_words(), folded.dump(), folded.canonical_edges()]
-    assert _edge_tuples(aut) == before, "fold changed its input"
-    return _edge_tuples(folded), log.steps, reads
+def _fold_outputs(aut, steps, words):
+    """A folded automaton's edges and every reader's output on it, with
+    the steps that folded it."""
+    reads = [aut.bfs_order(), aut.rank(), [aut.trace(w) for w in words],
+             aut.basis_words(), aut.canonical_edges()]
+    return [(e.src, e.label, e.dst, e.mem) for e in aut.edges], steps, reads
+
+
+def _gamma_outputs(aut, relators, words):
+    """The folded automaton of a generator set as its readers give it, and
+    its relators.  The read-in and the letterwise fold number its vertices
+    differently, so vertices are named by their place in bfs_order."""
+    index = {v: k for k, v in enumerate(aut.bfs_order())}
+    edges = sorted((index[e.src], e.label, index[e.dst], e.mem) for e in aut.edges)
+    traces = [hit and (index[hit[0]], hit[1]) for hit in map(aut.trace, words)]
+    return edges, aut.rank(), traces, aut.basis_words(), aut.canonical_edges(), relators
 
 
 def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
     sets = ([random_generator_set(rng) for _ in range(250)] + long_generator_sets(rng)
             + [[pw(w) for w in gens] for gens, _ in BOUNDARY_SETS.values()])
-    automata = [(build_flower(gens), gens + SHORT_WORDS) for gens in sets] + [
-        (StallingsAutomaton(0, edges), SHORT_WORDS) for edges in (
-            # a component the basepoint cannot reach is dropped, dirty
-            # vertex and all
-            [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7)],
-            # ... and so is one with a hanging path
-            [Edge(0, 1, 0), Edge(5, 1, 6), Edge(5, 1, 7), Edge(6, 2, 7), Edge(7, 1, 8),
-             Edge(8, 2, 9)],
-            # the only dirty vertex lies away from the basepoint: parallel loops
-            [Edge(0, 1, 1), Edge(1, 2, 1, (1,)), Edge(1, 2, 1, (2,)), Edge(1, 1, 0)],
-            # parallel loops at the basepoint
-            [Edge(0, 1, 0, (1,)), Edge(0, 1, 0, (2,)), Edge(0, 2, 1, (3,)), Edge(1, 2, 0)],
-            # two q-edges fold at the basepoint, then a path hangs off it
-            [Edge(0, 1, 0), Edge(0, 2, 1), Edge(1, 1, 2), Edge(2, 2, 3), Edge(0, 2, 4, (1,)),
-             Edge(4, 1, 5)],
-        )
-    ]
-    # expected presentations fold every petal letterwise; the engine's
-    # read-in must leave the same rank and relators
+
+    def outputs(fold_gens):
+        """Every flower and hand-built automaton folded by
+        stallings._fold_in_place, and each set's automaton from fold_gens."""
+        flowers = [_fold_outputs(*flower_fold(gens), gens + SHORT_WORDS) for gens in sets]
+        hand_built = []
+        for edges in HAND_BUILT:
+            aut = StallingsAutomaton(0, edges)
+            hand_built.append(_fold_outputs(aut, stallings._fold_in_place(aut), SHORT_WORDS))
+        gammas = [_gamma_outputs(*fold_gens(gens), gens + SHORT_WORDS) for gens in sets]
+        return flowers, hand_built, gammas
+
+    # the expected automata fold every petal letterwise; the engine's
+    # read-in must leave the same automaton and relators
     with monkeypatch.context() as patch:
         use_reference(patch)
-        expected = ([_fold_outputs(*case) for case in automata],
-                    [letterwise_presentation(gens, reference_fold_in_place) for gens in sets])
-    actual = ([_fold_outputs(*case) for case in automata],
-              [subgroup_presentation(gens) for gens in sets])
-    assert actual == expected
-    assert [letterwise_presentation(gens, stallings._fold_in_place)
-            for gens in sets] == expected[1]
+        expected = outputs(lambda gens: letterwise_fold(gens, reference_fold_in_place))
+    assert outputs(fold_generators) == expected
+    assert [_gamma_outputs(*letterwise_fold(gens, stallings._fold_in_place), gens + SHORT_WORDS)
+            for gens in sets] == expected[2]
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_SETS))
@@ -573,9 +599,9 @@ def test_clean_petals_are_never_folded(name, monkeypatch):
     assert len(calls) == expected_folds
 
 
-# sha256 of (subgroup_presentation's rank, the flower fold's basis,
-# subgroup_presentation's relators) and of the flower fold's (steps,
-# canonical edges), on the v-words of h = (w1, w2, w3) and
+# sha256 of (subgroup_presentation's rank, the basis of its folded
+# automaton, subgroup_presentation's relators) and of the flower fold's
+# (steps, canonical edges), on the v-words of h = (w1, w2, w3) and
 # g = w1 w2^-1 for 1000-letter a/b words w_i drawn from each seed.  The fold
 # order fixes both, so they must never change.
 PINNED_LONG = {
@@ -597,9 +623,12 @@ def test_long_words_pinned(seed):
             for _ in range(3)]
     report = analyze(mats, mats[0] * mats[1].inv())
     pres = report.presentation
-    aut, log = fold(build_flower(report.v_words))
-    assert len(pres.relators) == log.closed_count == 3
+    aut, relators = fold_generators(report.v_words)
+    flower, steps = flower_fold(report.v_words)
+    assert relators == pres.relators
+    assert len(pres.relators) == sum(step.closed for step in steps) == 3
+    assert flower.canonical_edges() == aut.canonical_edges()
     digests = tuple(hashlib.sha256(repr(value).encode()).hexdigest()
                     for value in ((pres.rank, aut.basis_words(), pres.relators),
-                                  (log.steps, aut.canonical_edges())))
+                                  (tuple(steps), flower.canonical_edges())))
     assert digests == PINNED_LONG[seed]
