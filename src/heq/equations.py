@@ -240,9 +240,11 @@ def _provenance(part: EqWord, x: int) -> Word:
 def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
     """The matrix w(g): image under the evaluation homomorphism x -> g."""
     if isinstance(w, HEquation):
+        x = ctx.x_letter
+        g_entries = {1: ctx._entries[x], -1: ctx._entries[-x]}
         factors = [w.coeffs[0][0]]
         for sign, (mat, _) in zip(w.signs, w.coeffs[1:]):
-            factors += (ctx._entries[sign * ctx.x_letter], mat)
+            factors += (g_entries[sign], mat)
         return _product(factors)
     return _product(map(ctx._entries.__getitem__, w))
 

@@ -22,7 +22,11 @@ all equations g satisfies:
  7. g is transcendental iff every resulting equation is trivial.
 
 Each step re-checks the invariants it relies on and raises RuntimeError
-rather than ever returning a silently wrong report.
+rather than ever returning a silently wrong report.  Where one check
+implies another it is not repeated: a relator is never expanded through
+the v-words, since step 4 checks each v_i against w_i's value and step 6
+checks that each substituted relator evaluates to I, and p, q freely
+generate F inside PSL2(Z).
 """
 
 from __future__ import annotations
@@ -245,8 +249,7 @@ def verify(report: AnalysisReport) -> VerificationResult:
     """Re-check a report from its raw words, independently of how it was made.
 
     (a) every ideal generator evaluates to the identity at g;
-    (b) every relator uses only letters x_1..x_n for the n v-words and,
-        applied to them, freely reduces to nothing;
+    (b) every relator uses only letters x_1..x_n for the n v-words;
     (c) the v-words match the evaluated generators as matrices;
     (d) every generator's image in Z/6 is trivial;
     (e) the verdict agrees with the triviality of the ideal generators,
@@ -257,6 +260,14 @@ def verify(report: AnalysisReport) -> VerificationResult:
     (g) the presentation has one generator per nontrivial generator and
         #nontrivial - rank relators (the rank is the report's own), and the
         ideal words are its relators applied to the nontrivial generators.
+
+    No relator is expanded through the v-words, which can take hundreds of
+    millions of letters: (a), (c) and (g) imply that each relator kills
+    them.  By (g) ideal word j is relator r_j applied to the generators,
+    by (a) its value is I, and by (c) each generator's value is its
+    v-word's matrix; so r_j applied to the v-words has matrix I.  p and q
+    freely generate F and F embeds in PSL2(Z), so it freely reduces to the
+    empty word.
     """
     ctx = report.ctx
     nontrivial = report.nontrivial_indices
@@ -270,9 +281,8 @@ def verify(report: AnalysisReport) -> VerificationResult:
 
     nv = len(report.v_words)
     bad = [i for i, rel in enumerate(report.presentation.relators)
-           if any(not 1 <= abs(let) <= nv for let in rel)
-           or substitute(rel, report.v_words) != ()]
-    checks.append(("relators kill the v-words", not bad,
+           if any(not 1 <= abs(let) <= nv for let in rel)]
+    checks.append(("relators name only v-words", not bad,
                    f"{len(report.presentation.relators)} relators" if not bad
                    else f"relators {bad} fail"))
 

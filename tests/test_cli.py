@@ -191,21 +191,36 @@ def _forge_long_equation_word(data):
     data["equations"][0]["word"] = "h1^11000"
 
 
+def _forge_relator_not_killing_v_words(data):
+    # relator 1 is x1, which does not kill v_1, and equation 1 is x1 applied
+    # to the generators, rendered consistently: no check expands a relator
+    # through the v-words, so it is the ideal word's value that must FAIL
+    data["presentation"]["relators"][0] = "x1"
+    x1 = next(gen for gen in data["generators"] if not gen["trivial"])
+    data["equations"][0]["word"] = x1["word"]
+    data.update(AnalysisReport.from_dict(data).to_dict())
+    return "ideal generators evaluate to I"
+
+
+# a forgery may return the name of a check that must FAIL
 @pytest.mark.parametrize("forge", [_forge_index, _forge_swapped_generators,
                                    _forge_false_verdict, _forge_extra_relator_letter,
                                    _forge_equation_text, _forge_trivial_flags,
                                    _forge_flag_type, _forge_images,
-                                   _forge_extra_h_word, _forge_long_equation_word])
+                                   _forge_extra_h_word, _forge_long_equation_word,
+                                   _forge_relator_not_killing_v_words])
 def test_verify_rejects_forged_report(capsys, tmp_path, forge):
     code, out, _ = run(capsys, "analyze", H1, H2, G44, "--json")
     data = json.loads(out)
-    forge(data)
+    failing = forge(data)
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1
     assert "FAIL" in out
     assert "Traceback" not in err and "error:" not in err
+    if failing is not None:
+        assert f"FAIL {failing}:" in out
 
 
 def _shape_bad_matrix(data):

@@ -11,6 +11,7 @@ import pytest
 import heq.equations
 import heq.freewords
 import heq.pipeline
+import heq.stallings
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import evaluate, parse_eq_word, reduce_equation
 from heq.freewords import matrix_to_free_word, rewrite_kernel
@@ -22,7 +23,7 @@ from heq.pipeline import (
     analyze,
     verify,
 )
-from heq.words import quotient_order
+from heq.words import WORD_BUDGET, quotient_order
 
 from conftest import random_matrix
 
@@ -312,3 +313,36 @@ def test_report_survives_copy_and_pickle(h1, h2):
                   pickle.loads(pickle.dumps(report))):
         assert clone.to_dict() == report.to_dict()
         assert verify(clone).ok
+
+
+def test_relators_are_not_expanded_through_v_words(monkeypatch):
+    # T^400 over T: relators of up to 34980 letters over v-words of up to
+    # 800; expanded through the v-words they reach 14 million letters.
+    # substitute hands every expansion to heq.freewords.free_reduce.
+    longest = 0
+    free_reduce = heq.freewords.free_reduce
+
+    def recording(letters):
+        nonlocal longest
+        letters = list(letters)
+        longest = max(longest, len(letters))
+        return free_reduce(letters)
+
+    monkeypatch.setattr(heq.freewords, "free_reduce", recording)
+    report = analyze([ProjMat2(1, 400, 0, 1)], ProjMat2(1, 1, 0, 1))
+    restored = AnalysisReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    assert verify(restored).ok
+    assert 0 < longest <= WORD_BUDGET
+
+
+def test_analyze_catches_a_relator_that_does_not_kill_the_v_words(h1, h2, monkeypatch):
+    # x1 alone does not kill v_1: its ideal word w_1 does not evaluate to I
+    fold_generators = heq.stallings.fold_generators
+
+    def forged(gens):
+        aut, relators = fold_generators(gens)
+        return aut, ((1,),) + relators[1:]
+
+    monkeypatch.setattr(heq.stallings, "fold_generators", forged)
+    with pytest.raises(RuntimeError, match="ideal generator does not evaluate"):
+        analyze([h1, h2], ProjMat2(1, 0, -2, 1))
