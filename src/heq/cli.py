@@ -174,9 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="decide algebraicity and compute the ideal")
     p.add_argument("matrices", nargs="+", metavar="MATRIX",
                    help="h_1 .. h_s followed by g")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit the JSON report")
-    fmt.add_argument("--text", action="store_true", help="emit text (default)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the JSON report instead of text")
     p.add_argument("--show-matrices", action="store_true",
                    help="also print equations in matrix form")
     p.set_defaults(func=cmd_analyze)

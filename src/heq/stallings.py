@@ -30,32 +30,24 @@ edges by serial (src, dst, label, memory, alive), new edges taking the next
 serial, and per vertex four buckets of serials [p out, p in, q out, q in] in
 ascending order, which is the (label, direction, position) order above.
 Every reader walks the buckets.  Only a vertex whose buckets changed since
-the last fold can be dirty or hanging, so a fold costs its own steps, not
-the size of the automaton.  The engine keeps the set of dirty vertices;
-only the absorbing vertex can become dirty, so each step updates the
-vertices it touches, and gauges and moves the absorbed vertex's edges only.
-A lone dirty vertex is taken without a search, and so is a dirty basepoint:
-it is the search's first vertex, which no rewind drops.
-
-Otherwise the next dirty vertex comes from the search tree below.
+the last fold can be dirty or hanging, so finding them costs a fold its own
+steps, not the size of the automaton.  The engine keeps the set of dirty
+vertices; only the absorbing vertex can become dirty, so each step updates
+the vertices it touches, and gauges and moves the absorbed vertex's edges
+only.
 
 One breadth-first search from the basepoint, _SearchTree, serves the fold
-and every reader.  It keeps its queue, each discovered vertex's queue
-position and tree edge, and per processed vertex the queue length when its
-processing began.  bfs_order lists the queue of a tree grown to the end;
-canonical_edges numbers vertices by it, and basis_words reads one loop per
-non-tree edge off the tree paths.  The fold keeps one tree for the whole
-fold and resumes it, never restarts it.  How the search processes a vertex
-depends only on that vertex's buckets and the far ends of its edges, so
-the state before processing a vertex stays valid while no vertex processed
-earlier is touched.  An open folding at v that absorbs y into z touches v,
-z and y's neighbours, among them whichever vertex discovered y; the tree
-rewinds to just before the first of these it processed, and the next step
-takes the first dirty vertex it has discovered, or else grows on.
-A closed folding touches no search state: the dropped edge comes after its
-parallel twin in both end buckets, so it never discovered a vertex.  A
-closed folding multiplies out the memories along the tree path to its
-target, growing the tree on to that target if it has not been discovered.
+and every reader.  A search keeps its queue, each discovered vertex's queue
+position and tree edge.  bfs_order lists the queue of a tree grown to the
+end; canonical_edges numbers vertices by it, and basis_words reads one loop
+per non-tree edge off the tree paths.  Each fold step runs a new search,
+which stops at the first dirty vertex it discovers; the search never
+discovers the basepoint, so a dirty basepoint is taken first, without a
+search.  A closed folding multiplies out the memories along the tree path
+to its target, from a new search grown only as far as that target; the path
+to the basepoint is empty and needs no search.  A step thus costs the
+vertices its searches discover, which is few when the fold works near the
+basepoint and most of the automaton when it works far from it.
 
 fold_generators reads each petal into the folded automaton before it folds
 anything.  Of petal i's reduced word w, n letters long, it reads the
@@ -86,7 +78,6 @@ the search order and every later fold step are the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Container, Iterable, KeysView, Sequence
 
 from .freewords import (
@@ -219,9 +210,7 @@ class _SearchTree:
     docstring states, over an automaton's buckets as they stand.
 
     queue lists the discovered vertices and pos inverts it; via[k] is the
-    serial of the edge that discovered queue[k] (-1 for the basepoint);
-    queue[:len(mark)] is processed, and mark[k] is len(queue) when
-    processing queue[k] began.
+    serial of the edge that discovered queue[k] (-1 for the basepoint).
     """
 
     def __init__(self, aut: StallingsAutomaton):
@@ -229,48 +218,24 @@ class _SearchTree:
         self.queue = [aut.base]
         self.via = [-1]
         self.pos = {aut.base: 0}
-        self.mark: list[int] = []
 
     def grow(self, targets: Container[int] = ()) -> int | None:
-        """Process the queue on until a vertex of targets is discovered;
-        finish that vertex and return the target (None if none is met, once
-        every vertex is processed)."""
-        queue, via, pos, mark = self.queue, self.via, self.pos, self.mark
+        """Search from the basepoint until a vertex of targets is
+        discovered, and return it; None once every vertex is discovered and
+        none is a target.  The basepoint is never discovered."""
+        queue, via, pos = self.queue, self.via, self.pos
         adj, fars = self.aut.buckets, self.aut.far_ends
-        found = None
-        n = len(queue)
-        for v in islice(queue, len(mark), None):
-            mark.append(n)
+        for v in queue:
             for far, bucket in zip(fars, adj[v]):
                 for i in bucket:
                     w = far[i]
                     if w not in pos:
-                        pos[w] = n
-                        n += 1
+                        pos[w] = len(queue)
                         queue.append(w)
                         via.append(i)
-                        if w in targets and found is None:
-                            found = w
-            if found is not None:
-                break
-        return found
-
-    def rewind(self, touched: Iterable[int]) -> None:
-        """Go back to the state before the first processed vertex of
-        touched, the vertices whose buckets or far ends a step changed: how
-        a vertex is processed depends on nothing else."""
-        pos, mark = self.pos, self.mark
-        k = len(mark)
-        for u in touched:
-            if pos.get(u, k) < k:
-                k = pos[u]
-        if k < len(mark):
-            n = mark[k]
-            for _ in range(n, len(self.queue)):
-                pos.popitem()
-            del mark[k:]
-            del self.queue[n:]
-            del self.via[n:]
+                        if w in targets:
+                            return w
+        return None
 
     def path(self, v: int, words: Sequence[Word]) -> Word:
         """Product of words[serial] along the tree path base -> v, each
@@ -356,8 +321,8 @@ def _trim(aut: StallingsAutomaton) -> None:
 def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
     """Fold aut until it is deterministic and co-deterministic, then trim it.
 
-    Takes the fold steps in the order the module docstring states; returns
-    them in that order.
+    Takes the fold steps in the order the module docstring states, each
+    found by a fresh search from the basepoint; returns them in that order.
     """
     base = aut.base
     src, dst, labels, mem, adj = aut.src, aut.dst, aut.labels, aut.mem, aut.buckets
@@ -372,22 +337,14 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
         else:
             dirty.discard(v)
 
-    # one search tree, resumed across fold steps
-    tree = _SearchTree(aut)
-    queue, pos = tree.queue, tree.pos
-
     # aut is connected and folding keeps it so: the search meets every
     # dirty vertex
     dirty = {v for v in aut.changed if is_dirty(v)}
     steps: list[FoldStep] = []
     while dirty:
-        if len(dirty) == 1:
-            v = next(iter(dirty))
-        else:
-            # the first dirty vertex in discovery order: among those
-            # already discovered, else the next one the search meets
-            first = min((pos[u] for u in dirty if u in pos), default=None)
-            v = tree.grow(dirty) if first is None else queue[first]
+        # the first dirty vertex in discovery order; the search never
+        # discovers the basepoint, which comes first
+        v = base if base in dirty else _SearchTree(aut).grow(dirty)
         for slot, bucket in enumerate(adj[v]):
             if len(bucket) > 1:
                 break
@@ -396,7 +353,8 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
             # closed folding: the two edges are parallel; read the relator
             # around the redundant cycle, conjugated back to the basepoint
             target = src[keep]
-            if target not in pos:
+            tree = _SearchTree(aut)
+            if target != base:
                 tree.grow((target,))
             path = tree.path(target, mem)
             relator = free_reduce(path + mem[keep] + invert_word(mem[merge])
@@ -404,8 +362,6 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
             if not relator:
                 raise RuntimeError("closed folding produced an empty relator")
             steps.append(FoldStep(True, labels[keep], relator))
-            # no rewind: merge follows keep in both end buckets (module
-            # docstring)
             aut._remove_edge(merge)
             recheck(src[merge])
             recheck(dst[merge])
@@ -424,9 +380,6 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
         inv_gamma = invert_word(gamma)
         steps.append(FoldStep(False, labels[keep]))
         aut._remove_edge(merge)
-        # v and z change buckets and y's neighbours will reach z instead;
-        # y itself lies past the rewind, as one of these discovered it
-        tree.rewind([v, z, *(far[i] for far, bucket in zip(fars, adj[y]) for i in bucket)])
         for k, (moved, into) in enumerate(zip(adj.pop(y), adj[z])):
             for i in moved:
                 if k % 2 == 0:

@@ -7,6 +7,7 @@ import pytest
 from heq import stallings
 from heq.freewords import free_reduce, invert_word, parse_free_word as pw, pq_to_matrix
 from heq.pipeline import analyze
+from heq.psl2 import ProjMat2
 from heq.stallings import (
     Edge,
     FoldStep,
@@ -451,18 +452,15 @@ def reduced_word(rng, length, cyclic=False):
 
 
 def long_generator_sets(rng):
-    """Petals of 100 to 170 letters that take the fold engine's search
-    through resumed states.  Two fold fronts run at once in each, so several
-    vertices are dirty at once.
+    """Petals of 100 to 170 letters.  Two fold fronts run at once in each,
+    so several vertices are dirty at once.
 
     - Three petals on one 70-letter prefix fold together far from the
       basepoint.
     - t^2 and t^3, t cyclically reduced: the second collapses onto the
-      first, absorbing vertices into the basepoint and its neighbours, which
-      sends the search back to its start.
+      first, absorbing vertices into the basepoint and its neighbours.
     - The same powers conjugated by a stem, beside a petal on that stem: the
-      collapse happens far from the basepoint, and its closed folds have
-      targets the search has not reached.
+      collapse happens far from the basepoint, and so do its closed folds.
     """
     stem = reduced_word(rng, 70)
     shared = [free_reduce(stem + reduced_word(rng, rng.randrange(30, 80)))
@@ -473,6 +471,14 @@ def long_generator_sets(rng):
                   free_reduce(c + reduced_word(rng, 70)),
                   free_reduce(c + u * 3 + invert_word(c))]
     return [shared, [t * 2, t * 3], conjugated]
+
+
+def t_power_sets():
+    """The v-words of T^20 over T and of T^2 over T^40, T = [[1,1],[0,1]]:
+    most of their fold steps see several dirty vertices at once."""
+    return [list(analyze([ProjMat2.from_rows(h)], ProjMat2.from_rows(g)).v_words)
+            for h, g in (([[1, 20], [0, 1]], [[1, 1], [0, 1]]),
+                         ([[1, 2], [0, 1]], [[1, 40], [0, 1]]))]
 
 
 def letterwise_fold(gens, fold_in_place):
@@ -561,7 +567,7 @@ def _gamma_outputs(aut, relators, words):
 
 def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
     sets = ([random_generator_set(rng) for _ in range(250)] + long_generator_sets(rng)
-            + [[pw(w) for w in gens] for gens, _ in BOUNDARY_SETS.values()])
+            + [[pw(w) for w in gens] for gens, _ in BOUNDARY_SETS.values()] + t_power_sets())
 
     def outputs(fold_gens):
         """Every flower and hand-built automaton folded by
