@@ -27,22 +27,31 @@ homomorphism of PSL2(Z), so every word of value +-I has image 0, and the
 join meets only words of value +-I.  A search that pruned by the image
 would only skip words that can never be candidates.
 
-Memory is the ball, the witnesses and the normal forms of the ball words
-that balanced candidates with x asked about; candidates stream into the
-re-check and are not kept.  The ball holds sum_{r <= R} n (n-1)^(r-1) words,
-n = 2(s+1).  enumerate_kernel computes that number before building anything
-and raises ValueError above BALL_BUDGET.  With entries of a machine word or
-two a word costs up to about 420 bytes (on Python 3.11, 586k words with 542k
-distinct values peaked at 261 MB), so a ball within the budget stays under
-about 256 MB; much larger entries cost more per word.  A normal form is
-kept as its signs and coefficient matrices only, not as an HEquation with
-provenance words.  The second worked example at length 14, the largest
-search the budget allows with two h's, keeps 60,757 forms and peaked at
-114 MB on Python 3.11.
+Memory is the ball, the witnesses and one record per ball word that some
+candidate has as a half; candidates stream into the re-check and are not
+kept.  The ball holds sum_{r <= R} n (n-1)^(r-1) words, n = 2(s+1).
+enumerate_kernel computes that number before building anything and raises
+ValueError above BALL_BUDGET.  With entries of a machine word or two a word
+costs up to about 420 bytes (on Python 3.11, 586k words with 542k distinct
+values peaked at 261 MB), so a ball within the budget stays under about
+256 MB; much larger entries cost more per word.  A record holds the word's
+value, image, x-exponent sum and whether it contains x: about 260 bytes
+with such entries (Python 3.11, the 117,187 words of the ball below).  Once
+a balanced candidate with x asks for it, the record also holds the word's
+normal form, kept as its signs and coefficient matrices only, not as an
+HEquation with provenance words.  Records come on top of the ball, at most
+one per ball word, so a search in which every ball word is a half would add
+about 130 MB at the budget.  The second worked example at length 14, the
+largest search the budget allows with two h's, keeps 67,616 records, 60,757
+of them with a form, and peaked at 128 MB on Python 3.11.
 
-Every candidate is evaluated again through the equation layer before it
-becomes a witness, so a fault in the search raises instead of producing a
-wrong witness.
+The re-check goes through the equation layer, not the ball's arithmetic.
+evaluate and word_image are homomorphisms, so a candidate u t^-1 has value
+I and image 0 exactly when u and t have the same value and the same image.
+Each ball word's value and image are computed once, the first time a
+candidate has it as a half, and every candidate compares those of its two
+halves before it can become a witness, so a fault in the search raises
+instead of producing a wrong witness.
 
 The witness rule rests on the exponent sum sigma: H*<x> -> Z, x -> 1 and
 H -> 0.  It is a homomorphism, so a word with sigma != 0 is never trivial
@@ -64,7 +73,7 @@ from dataclasses import dataclass
 from .equations import EqWord, HContext, evaluate, reduce_equation
 from .freewords import invert_word
 from .pipeline import VERDICT_TRANSCENDENTAL
-from .psl2 import IDENTITY
+from .psl2 import ProjMat2
 
 # Most words the ball may hold; a ball this size peaks under about 256 MB.
 BALL_BUDGET = 500_000
@@ -74,6 +83,16 @@ BALL_BUDGET = 500_000
 class EnumerationResult:
     witnesses: tuple[EqWord, ...]
     backend: str = "python"  # one search path; the name stays for callers that record it
+
+
+@dataclass(slots=True)
+class _Half:
+    """What the re-check and the witness rule read off one ball word."""
+    value: ProjMat2
+    image: int
+    sigma: int  # x-exponent sum
+    has_x: bool
+    form: tuple | None = None  # signs and coefficient matrices, once reduced
 
 
 def _ball_size(nsigned: int, radius: int) -> int:
@@ -138,9 +157,12 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
 
     A witness is a word that evaluates to the identity at g but is a
     nontrivial element of H*<x>.  Every candidate u t^-1 is re-checked by
-    evaluate and word_image; then a word whose x-exponent sum is nonzero is
-    a witness without reduction, a word without x is not one, and a
-    balanced word with x is one when the normal forms of u and t differ.
+    comparing the values (evaluate) and images (word_image) of u and t,
+    each computed once per ball word; a mismatch raises RuntimeError.
+    Then a word whose x-exponent sum is nonzero is a witness without
+    reduction, a word without x is not one, and a balanced word with x is
+    one when the normal forms of u and t differ.  Only witnesses are built
+    as whole words.
     Witnesses come out as raw EqWords sorted by (length, word), letters
     compared as signed integers.
     Raises ValueError when max_len < 1, or when the ball of words of length
@@ -154,26 +176,35 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
             f"max_len {max_len} needs more than {BALL_BUDGET} words of length "
             f"up to {radius} over {nsigned} signed letters")
 
-    # a ball word's normal form, reduced when a candidate first needs it;
-    # local, not ctx.equation, whose memo would outlive the search
-    forms: dict[EqWord, tuple] = {}
-
-    def form(half: EqWord) -> tuple:
-        nf = forms.get(half)
-        if nf is None:
-            eq = reduce_equation(half, ctx)
-            nf = forms[half] = (eq.signs, eq.coefficient_matrices())
-        return nf
-
+    # one record per ball word a candidate has as a half; local, not
+    # ctx.equation, whose memo would outlive the search
     x = ctx.x_letter
+    records: dict[EqWord, _Half] = {}
+
+    def record(half: EqWord, form: bool = False) -> _Half:
+        rec = records.get(half)
+        if rec is None:
+            ups, downs = half.count(x), half.count(-x)
+            rec = records[half] = _Half(evaluate(half, ctx), ctx.word_image(half),
+                                        ups - downs, ups + downs > 0)
+        if form and rec.form is None:
+            eq = reduce_equation(half, ctx)
+            rec.form = (eq.signs, eq.coefficient_matrices())
+        return rec
+
     witnesses: list[EqWord] = []
     for u, t in _candidates(ctx, max_len):
-        word = u + invert_word(t)
-        if evaluate(word, ctx) != IDENTITY or ctx.word_image(word):
-            raise RuntimeError(f"search produced a non-witness {word}")
-        ups = word.count(x)
-        if ups != word.count(-x) or (ups and form(u) != form(t)):
-            witnesses.append(word)
+        # most halves are recorded already, so the memo is read before the call
+        ru, rt = records.get(u) or record(u), records.get(t) or record(t)
+        # evaluate and word_image are homomorphisms: u t^-1 has value I and
+        # image 0 exactly when u and t agree in both
+        if ru.value != rt.value or ru.image != rt.image:
+            raise RuntimeError(f"search produced a non-witness {u + invert_word(t)}")
+        # a witness: sigma(u t^-1) != 0, or x occurs and u != t in H*<x>
+        if ru.sigma != rt.sigma or ((ru.has_x or rt.has_x)
+                                    and (ru.form or record(u, True).form)
+                                    != (rt.form or record(t, True).form)):
+            witnesses.append(u + invert_word(t))
     witnesses.sort(key=lambda w: (len(w), w))
     return EnumerationResult(tuple(witnesses))
 

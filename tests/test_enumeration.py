@@ -203,12 +203,28 @@ def test_second_example_has_witnesses(ctx_44):
 
 
 def test_witnesses_are_nontrivial_identities(ctx_44):
-    result = enumerate_kernel(ctx_44, 7)
-    for word in result.witnesses:
-        assert evaluate(word, ctx_44) == IDENTITY
-        assert not reduce_equation(word, ctx_44).is_trivial()
-        # freely reduced: no adjacent inverse pair survives the search
-        assert all(word[i] != -word[i + 1] for i in range(len(word) - 1))
+    # whole witness words, not only the halves the search compared
+    for ctx, max_len in ((ctx_44, 7), (_t2_u2_context(), 8)):
+        result = enumerate_kernel(ctx, max_len)
+        assert result.witnesses
+        for word in result.witnesses:
+            assert evaluate(word, ctx) == IDENTITY
+            assert ctx.word_image(word) == 0
+            assert not reduce_equation(word, ctx).is_trivial()
+            # freely reduced: no adjacent inverse pair survives the search
+            assert all(word[i] != -word[i + 1] for i in range(len(word) - 1))
+
+
+def test_recheck_raises_on_a_non_witness(ctx_44, monkeypatch):
+    # a fault in the search that pairs halves of different values must
+    # raise, not yield a witness: here h1 t^-1 with t empty, of value h1
+    def faulty(ctx, max_len):
+        yield from _candidates(ctx, max_len)
+        yield (1,), ()
+
+    monkeypatch.setattr(heq.enumeration, "_candidates", faulty)
+    with pytest.raises(RuntimeError, match="non-witness"):
+        enumerate_kernel(ctx_44, 6)
 
 
 def test_longer_search_is_superset(ctx_44):
