@@ -3,7 +3,14 @@
 Also houses the small toolkit for words over arbitrary signed alphabets that
 the rest of the package shares.  A word is a tuple of nonzero ints: letter k
 (1-based) is written +k, its inverse -k.  Freely reduced means no adjacent
-+k, -k pair.
++k, -k pair.  As text a word is a list of tokens, name or name^exponent, one
+per run of equal letters.  format_word and parse_word share one token table
+per alphabet (the names tuple), built once and kept in a small LRU memo: it
+maps name, name^1 and name^-1 to their letters and each signed letter to
+its one-letter token, so only powers go through int() or an f-string.  The
+parser builds the word token by token and refuses, with ValueError, the
+first token that would take it past WORD_BUDGET letters, before building
+any of that token's letters.
 
 The Reidemeister-Schreier rewriting of kernel elements into {p, q} walks the
 Schreier graph of F (the Cayley graph of Z/6, see words.abelianize) with the
@@ -14,6 +21,7 @@ crossed.  The table is derived at import time: each entry is the word among
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -64,18 +72,46 @@ def substitute(relator: Word, ws: Sequence[Word]) -> Word:
     return free_reduce(out)
 
 
+@lru_cache(maxsize=32)
+def _token_table(names: tuple[str, ...]) -> tuple[dict[str, int], dict[int, str]]:
+    """The token table of an alphabet: (text -> letter, letter -> text).
+
+    The first map takes each name, name^1 and name^-1 to its signed letter.
+    A name holding '^' is left out: the parser splits every token at its
+    first ^, so no token reads as that name.  A later duplicate name wins,
+    as in a dict of the names.  The second map takes each signed letter to
+    the token format_word writes for a run of one.  Both maps are shared
+    by every caller with the same names and are only read.
+    """
+    parse: dict[str, int] = {}
+    tokens: dict[int, str] = {}
+    for let, name in enumerate(names, 1):
+        tokens[let], tokens[-let] = name, f"{name}^-1"
+        if "^" not in name:
+            parse[name] = parse[f"{name}^1"] = let
+            parse[f"{name}^-1"] = -let
+    return parse, tokens
+
+
 def format_word(word: Word, names: tuple[str, ...]) -> str:
-    """Render with powers collected: (1, 1, -2, -2, -2) -> 'p^2 q^-3'."""
+    """Render with powers collected: (1, 1, -2, -2, -2) -> 'p^2 q^-3'.
+
+    The word is walked one run at a time.  A run of one letter is written
+    as its token from the alphabet's token table (name or name^-1), a
+    longer run as name^exponent.
+    """
+    tokens = _token_table(names)[1]
     parts: list[str] = []
-    i = 0
-    while i < len(word):
+    i, n = 0, len(word)
+    while i < n:
         let = word[i]
-        j = i
-        while j < len(word) and word[j] == let:
+        j = i + 1
+        while j < n and word[j] == let:
             j += 1
-        exp = (j - i) * (1 if let > 0 else -1)
-        name = names[abs(let) - 1]
-        parts.append(name if exp == 1 else f"{name}^{exp}")
+        token = tokens.get(let) if j == i + 1 else None
+        if token is None:
+            token = f"{names[abs(let) - 1]}^{j - i if let > 0 else i - j}"
+        parts.append(token)
         i = j
     return " ".join(parts)
 
@@ -84,33 +120,37 @@ def parse_word(text: str, names: tuple[str, ...]) -> Word:
     """Parse 'q p q^-2 p^-1' style text back into a word, letter for letter.
 
     Tokens are separated by whitespace or commas; each is a name from names,
-    optionally followed by ^ and an integer exponent.  An unknown name, a
-    bad exponent, or a word of more than WORD_BUDGET letters raises
-    ValueError (the last before any letter is built), a text that is not a
-    string TypeError.
+    optionally followed by ^ and an integer exponent.  A whole token found
+    in the alphabet's token table (name, name^1, name^-1) gives its letter
+    at once; any other token is split at its first ^ and its exponent read
+    by int().  Letters are built token by token, and a token that would take
+    the word past WORD_BUDGET letters raises ValueError before any of its
+    letters is built, so no word of more than WORD_BUDGET letters is ever
+    built.  An unknown name or a bad exponent raises ValueError, a text that
+    is not a string TypeError.
     """
     if not isinstance(text, str):
         raise TypeError(f"word {text!r} is not a string")
-    index = {name: i + 1 for i, name in enumerate(names)}
-    runs: list[tuple[int, int]] = []
-    length = 0
+    table = _token_table(names)[0]
+    letters: list[int] = []
     for token in text.replace(",", " ").split():
+        let = table.get(token)
+        if let is not None and len(letters) < WORD_BUDGET:
+            letters.append(let)
+            continue
+        # a token the table misses, or any token once the word is full
         name, caret, exp = token.partition("^")
-        let = index.get(name)
+        let = table.get(name)
         if let is None:
             raise ValueError(f"unknown letter {name!r} in a word")
         try:
             power = int(exp) if caret else 1
         except ValueError:
             raise ValueError(f"bad exponent in {token!r}") from None
-        runs.append((let if power > 0 else -let, abs(power)))
-        length += abs(power)
-    if length > WORD_BUDGET:
-        raise ValueError(f"a word of {length} letters is over the budget of "
-                         f"{WORD_BUDGET}")
-    letters: list[int] = []
-    for let, n in runs:
-        letters.extend([let] * n)
+        if len(letters) + abs(power) > WORD_BUDGET:
+            raise ValueError(f"a word of at least {len(letters) + abs(power)} "
+                             f"letters is over the budget of {WORD_BUDGET}")
+        letters.extend([let if power > 0 else -let] * abs(power))
     return tuple(letters)
 
 

@@ -1,10 +1,12 @@
 import pytest
 
+import heq.freewords
 from heq.psl2 import IDENTITY, ProjMat2
-from heq.words import abelianize, eval_ab, reduce_ab
+from heq.words import WORD_BUDGET, abelianize, eval_ab, reduce_ab
 from heq.freewords import (
     NotInKernel,
     PQ_NAMES,
+    _token_table,
     format_free_word,
     format_word,
     free_reduce,
@@ -125,3 +127,120 @@ def test_generic_word_names():
         parse_word("p^", PQ_NAMES)
     with pytest.raises(TypeError):
         parse_word(5, names)
+
+
+# ---------------------------------------------------------------------------
+# reference: the word codec read one token at a time through partition and
+# int(), and written one run at a time through the f-string; the token table
+# must give the same words, the same strings and the same exception types
+# ---------------------------------------------------------------------------
+
+def reference_format(word, names):
+    parts = []
+    i = 0
+    while i < len(word):
+        let = word[i]
+        j = i
+        while j < len(word) and word[j] == let:
+            j += 1
+        exp = (j - i) * (1 if let > 0 else -1)
+        name = names[abs(let) - 1]
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+        i = j
+    return " ".join(parts)
+
+
+def reference_parse(text, names):
+    if not isinstance(text, str):
+        raise TypeError(f"word {text!r} is not a string")
+    index = {name: i + 1 for i, name in enumerate(names)}
+    runs = []
+    length = 0
+    for token in text.replace(",", " ").split():
+        name, caret, exp = token.partition("^")
+        let = index.get(name)
+        if let is None:
+            raise ValueError(f"unknown letter {name!r} in a word")
+        try:
+            power = int(exp) if caret else 1
+        except ValueError:
+            raise ValueError(f"bad exponent in {token!r}") from None
+        runs.append((let if power > 0 else -let, abs(power)))
+        length += abs(power)
+    if length > WORD_BUDGET:
+        raise ValueError(f"a word of {length} letters is over the budget")
+    letters = []
+    for let, n in runs:
+        letters.extend([let] * n)
+    return tuple(letters)
+
+
+def raised(parse, text, names):
+    """The type of the exception parse raises on text, None if it returns."""
+    try:
+        parse(text, names)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+X12_NAMES = tuple(f"x{i}" for i in range(1, 13))
+
+
+def random_run_word(rng, size):
+    """Up to 8 runs of mixed signs, each of 1 to 30 letters (mostly 1)."""
+    word = []
+    for _ in range(rng.randrange(9)):
+        length = rng.choice((1, 1, 1, 2, rng.randrange(1, 31)))
+        word.extend([rng.choice((1, -1)) * rng.randrange(1, size + 1)] * length)
+    return tuple(word)
+
+
+def test_codec_matches_reference_on_random_words(rng):
+    for names in (PQ_NAMES, ("h1", "h2", "x"), X12_NAMES):
+        for _ in range(300):
+            word = random_run_word(rng, len(names))
+            text = format_word(word, names)
+            assert text == reference_format(word, names)
+            assert parse_word(text, names) == reference_parse(text, names) == word
+    # x1 is a prefix of x10, x11 and x12, and each has a token of its own
+    clash = (1, 10, 10, -10, 1, -1, -1, 11, -12)
+    text = format_word(clash, X12_NAMES)
+    assert text == reference_format(clash, X12_NAMES) == "x1 x10^2 x10^-1 x1 x1^-2 x11 x12^-1"
+    assert parse_word(text, X12_NAMES) == clash
+
+
+def test_codec_matches_reference_on_hand_written_texts():
+    names = ("x", "x1", "x2")
+    for text in ("x^1", "x^-1", "x^+2", "x^0", "x^1_0", "x1,,x2^3", "x^-1 x^1 x x^-0",
+                 "  x x1^-1 ", "\tx2,\n", "", " , "):
+        assert parse_word(text, names) == reference_parse(text, names), text
+    for text in ("pq", "p^x", "p^", "^2", "p^^2", "p^-1^2", "p^1.0", "P", 5, None, b"p"):
+        kind = raised(reference_parse, text, PQ_NAMES)
+        assert kind is not None, text
+        assert raised(parse_word, text, PQ_NAMES) is kind, text
+    # a name holding ^ is never read back whole: the token splits at its ^
+    assert raised(reference_parse, "a^b", ("a^b", "a")) is ValueError
+    assert raised(parse_word, "a^b", ("a^b", "a")) is ValueError
+
+
+def test_parse_budget_edge(monkeypatch):
+    # the table path adds bare, ^1 and ^-1 tokens one letter at a time; a
+    # token that would pass the budget is refused, exactly at the edge
+    monkeypatch.setattr(heq.freewords, "WORD_BUDGET", 10)
+    assert parse_word("p " * 10, PQ_NAMES) == (1,) * 10
+    assert parse_word("p^4 q^-6", PQ_NAMES) == (1,) * 4 + (-2,) * 6
+    assert parse_word("p^-1 " * 9 + "q^1", PQ_NAMES) == (-1,) * 9 + (2,)
+    for text in ("p " * 11, "p^5 p^6", "p^11", "p^-1 " * 11, "p^10 q", "p^-1 p^10"):
+        with pytest.raises(ValueError, match="budget"):
+            parse_word(text, PQ_NAMES)
+
+
+def test_token_table_memo_is_bounded():
+    # reports bring their own x1..xn alphabets; the memo keeps at most maxsize
+    maxsize = _token_table.cache_info().maxsize
+    for n in range(1, 2 * maxsize + 2):
+        names = tuple(f"x{i}" for i in range(1, n + 1))
+        assert parse_word(f"x{n}^-1 x1", names) == (-n, 1)
+        assert format_word((-n, 1), names) == f"x{n}^-1 x1"
+    assert 0 < _token_table.cache_info().currsize <= maxsize
