@@ -17,6 +17,7 @@ from .equations import (
     parse_eq_word,
     reduce_equation,
     render_equation,
+    rewrite_values,
     substitute,
 )
 from .freewords import (
@@ -104,6 +105,7 @@ __all__ = [
     "reduce_equation",
     "render_equation",
     "rewrite_kernel",
+    "rewrite_values",
     "subgroup_generators",
     "subgroup_presentation",
     "substitute",

@@ -16,14 +16,13 @@ its value needs no determinant check, only one sign normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
-from .freewords import Word, format_word, parse_word
+from .freewords import (FreeWord, NotInKernel, Word, format_word, free_reduce, parse_word,
+                        rewrite_from)
 from .freewords import substitute  # part of this module's API
 from .psl2 import IDENTITY, Entries, ProjMat2, _product
-from .words import (QUOTIENT_ORDER, WORD_BUDGET, ABWord, abelianize, decompose, invert_ab,
-                    reduce_ab)
+from .words import QUOTIENT_ORDER, WORD_BUDGET, ABWord, abelianize, decompose, invert_ab
 
 EqWord = Word
 
@@ -38,9 +37,8 @@ class HContext:
     equality or hashing.  The letter names h1..hs, x and each
     signed letter's entry 4-tuple, a/b-word (for -let the inverse of let's
     word) and image in Z/6 are computed once, at construction, so letter
-    and word lookups do no matrix or word arithmetic.  ab_word(word)
-    reduces the letters' a/b-words into the normal form of the word's value
-    at g.
+    and word lookups do no matrix or word arithmetic; rewrite_values reads
+    the a/b-words and images to rewrite words' values at g into {p, q}.
     equation(word) memoizes reduce_equation, so each word is reduced at most
     once per context, however many readers ask for its normal form.
     is_trivial(word) reads the flag without a normal form wherever the
@@ -107,22 +105,6 @@ class HContext:
 
     def word_image(self, word: EqWord) -> int:
         return sum(map(self._image.__getitem__, word)) % QUOTIENT_ORDER
-
-    def ab_word(self, word: EqWord) -> ABWord:
-        """The normal form of the value w(g) as an a/b-word, built without
-        a matrix: the letters' words written one after another and reduced.
-        Normal forms in C2 * C3 are unique, so this is
-        decompose(evaluate(word, self)).
-
-        Raises ValueError, before building any syllable, when the letters'
-        words have more than WORD_BUDGET syllables in all.
-        """
-        parts = list(map(self._ab_words.__getitem__, word))
-        length = sum(map(len, parts))
-        if length > WORD_BUDGET:
-            raise ValueError(f"a word's value spans {length} a/b letters before "
-                             f"reduction, more than the budget of {WORD_BUDGET}")
-        return reduce_ab(chain.from_iterable(parts))
 
     def equation(self, word: EqWord) -> HEquation:
         """reduce_equation(word, self), reduced once per word and context."""
@@ -235,6 +217,47 @@ def _provenance(part: EqWord, x: int) -> Word:
     if x not in part and -x not in part:
         return part
     return tuple(let for let in part if let != x and let != -x)
+
+
+def rewrite_values(words: Sequence[EqWord], ctx: HContext) -> tuple[FreeWord, ...]:
+    """The values w(g) of kernel words as freely reduced words in {p, q}.
+
+    Reidemeister-Schreier, letter by letter.  The piece of a signed letter
+    read at state u of the Schreier graph of F is the walk of its a/b-word
+    from u (freewords.rewrite_from), whose matrix is
+    rep(u) let(g) rep(u + image let)^-1.  Along a word the pieces telescope
+    to w(g), and p, q freely generate F, so the freely reduced join is
+    rewrite_kernel(decompose(evaluate(w, ctx))), with no a/b-word of the
+    value ever built.  Pieces are built the first time a word needs them and
+    kept for the other words of this call only: one per state and signed
+    letter, at most 6 * 2(s+1), the edges of the Schreier graph in both
+    directions.
+
+    Raises ValueError, before building any piece, when the letters' a/b-words
+    of some word have more than WORD_BUDGET syllables in all, and
+    NotInKernel when a word does not map to 0 in Z/6.
+    """
+    ab_words, image = ctx._ab_words, ctx._image
+    for word in words:
+        length = sum(map(len, map(ab_words.__getitem__, word)))
+        if length > WORD_BUDGET:
+            raise ValueError(f"a word's value spans {length} a/b letters before "
+                             f"reduction, more than the budget of {WORD_BUDGET}")
+    pieces: dict[tuple[int, int], FreeWord] = {}
+    values: list[FreeWord] = []
+    for word in words:
+        out: list[int] = []
+        state = 0
+        for let in word:
+            piece = pieces.get((state, let))
+            if piece is None:
+                piece = pieces[state, let] = rewrite_from(state, ab_words[let])
+            out.extend(piece)
+            state = (state + image[let]) % QUOTIENT_ORDER
+        if state:
+            raise NotInKernel(f"word maps to {state} in Z/6, not 0")
+        values.append(free_reduce(out))
+    return tuple(values)
 
 
 def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:

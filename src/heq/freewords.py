@@ -16,7 +16,10 @@ The Reidemeister-Schreier rewriting of kernel elements into {p, q} walks the
 Schreier graph of F (the Cayley graph of Z/6, see words.abelianize) with the
 transversal {1, b, b^2, a, ab, ab^2} and emits one table entry per syllable
 crossed.  The table is derived at import time: each entry is the word among
-1, p^+-1, q^+-1 whose matrix is rep(u) s rep(us)^-1.
+1, p^+-1, q^+-1 whose matrix is rep(u) s rep(us)^-1.  rewrite_from walks an
+a/b-word from any state; rewrite_kernel is its walk from state 0 for a
+kernel element, and equations.rewrite_values joins the walks of letters'
+a/b-words, so a generator value is never built as one a/b-word.
 """
 
 from __future__ import annotations
@@ -207,6 +210,22 @@ def _syllable_steps() -> dict[tuple[int, str], tuple[FreeWord, int]]:
 _SYLLABLE_STEP = _syllable_steps()
 
 
+def rewrite_from(state: int, word: ABWord) -> FreeWord:
+    """The walk of an ABWord from a state of the Schreier graph of F.
+
+    Returns the freely reduced word in {p, q} whose matrix is
+    rep(u) eval_ab(word) rep(t)^-1, u being the state and t = u +
+    abelianize(word) the state the walk ends at.  Walks from state 0 to
+    state 0 rewrite kernel elements; walks from other states are the
+    pieces equations.rewrite_values joins.
+    """
+    out: list[int] = []
+    for syl in word:
+        part, state = _SYLLABLE_STEP[state, syl]
+        out.extend(part)
+    return free_reduce(out)
+
+
 def rewrite_kernel(word: ABWord) -> FreeWord:
     """Rewrite a kernel element, given as an ABWord, as a free word in {p, q}.
 
@@ -215,18 +234,13 @@ def rewrite_kernel(word: ABWord) -> FreeWord:
     """
     if abelianize(word):
         raise NotInKernel(f"word abelianizes to {abelianize(word)} in Z/6, not 0")
-    out: list[int] = []
-    state = 0
-    for syl in word:
-        part, state = _SYLLABLE_STEP[state, syl]
-        out.extend(part)
-    return free_reduce(out)
+    return rewrite_from(0, word)
 
 
 def matrix_to_free_word(m: ProjMat2) -> FreeWord:
     """Rewrite a matrix known to lie in F; NotInKernel otherwise.
 
-    A public export: the pipeline reads generator values off their letters'
-    a/b-words (HContext.ab_word) instead, and the tests compare the two.
+    A public export: the pipeline rewrites generator values letter by letter
+    (equations.rewrite_values) instead, and the tests compare the two.
     """
     return rewrite_kernel(decompose(m))

@@ -12,10 +12,12 @@ all equations g satisfies:
     <h_1..h_s, g> on the letter images: at most 6 vertices, no matrix
     products;
  3. read the subgroup generators w_1(x)..w_p(x) off the non-tree edges;
- 4. write each value v_i = w_i(g) as an a/b-word, the reduced product of
-    its letters' a/b-words (no matrix is multiplied out and peeled back),
-    and rewrite it as a free word in {p, q}; the evaluated matrix re-checks
-    the result;
+ 4. rewrite each value v_i = w_i(g) as a free word in {p, q}, letter by
+    letter: each signed letter read at a state of the Schreier graph of F
+    gives the rewriting of its a/b-word from that state, one table of these
+    pieces serves all the generators, and the joined pieces are freely
+    reduced (no matrix is multiplied out and peeled back, and no a/b-word of
+    a value is built); the evaluated matrix re-checks the result;
  5. present V = <v_1..v_p> on those generators;
  6. push every relator through w_1..w_p and reduce: these equations
     normally generate the ideal;
@@ -42,6 +44,7 @@ from .equations import (
     format_eq_word,
     parse_eq_word,
     render_equation,
+    rewrite_values,
 )
 from .equations import reduce_equation  # noqa: F401  perfbench traces it by this name
 from .freewords import (
@@ -50,7 +53,6 @@ from .freewords import (
     parse_free_word,
     parse_word,
     pq_to_matrix,
-    rewrite_kernel,
     substitute,
 )
 from .freewords import matrix_to_free_word  # noqa: F401  perfbench traces it by this name
@@ -183,8 +185,9 @@ def equation_schreier_graph(ctx: HContext) -> SchreierGraph:
 def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     """Run the full pipeline; see the module docstring for the steps.
 
-    Raises ValueError when a generator value spans more than WORD_BUDGET
-    a/b letters before reduction (HContext.ab_word), or when a relator or
+    Raises ValueError when the letters of a generator have a/b-words of more
+    than WORD_BUDGET syllables in all, checked before any generator is
+    rewritten (equations.rewrite_values), or when a relator or
     ideal word has more than WORD_BUDGET letters, since verify could not
     read such a report back.
     """
@@ -198,14 +201,14 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
         raise RuntimeError("generator count does not match the Schreier graph")
 
     nontrivial = _nontrivial(w_words, ctx)
-    v_words: list[FreeWord] = []
-    for i in nontrivial:
-        if ctx.word_image(w_words[i]):
+    values = [w_words[i] for i in nontrivial]
+    for w in values:
+        if ctx.word_image(w):
             raise RuntimeError("generator value does not lie in the kernel F")
-        free = rewrite_kernel(ctx.ab_word(w_words[i]))
-        if pq_to_matrix(free) != evaluate(w_words[i], ctx):
+    v_words = rewrite_values(values, ctx)
+    for w, free in zip(values, v_words):
+        if pq_to_matrix(free) != evaluate(w, ctx):
             raise RuntimeError("kernel rewriting disagrees with evaluation")
-        v_words.append(free)
 
     presentation = subgroup_presentation(v_words)
 
@@ -226,7 +229,7 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
     verdict = (VERDICT_ALGEBRAIC
                if any(not eq.is_trivial() for eq in ideal_equations)
                else VERDICT_TRANSCENDENTAL)
-    return AnalysisReport(ctx, index, w_words, tuple(v_words), presentation,
+    return AnalysisReport(ctx, index, w_words, v_words, presentation,
                           ideal_words, verdict)
 
 

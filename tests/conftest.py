@@ -2,12 +2,14 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 
 import heq
 from heq.psl2 import MAT_A, MAT_B, ProjMat2
 from heq.equations import HContext
+from heq.words import invert_ab, reduce_ab
 
 # Fixed seed for the randomized property suites; override with HEQ_SEED.
 SEED = int(os.environ.get("HEQ_SEED", "20250810"))
@@ -53,6 +55,15 @@ def check_syllable_steps() -> int:
         expected = reps[c2, c3] * mat * reps[target % 2, target % 3].inv()
         assert pq_to_matrix(gamma) == expected, (u, syl)
     return len(_SYLLABLE_STEP)
+
+
+def letters_ab_word(word, ctx: HContext) -> tuple[str, ...]:
+    """The a/b normal form of the value w(g), reduced from the letters'
+    a/b-words written one after another: the route equations.rewrite_values
+    replaced, kept as a reference for it."""
+    words = ctx.h_words + (ctx.g_word,)
+    return reduce_ab(chain.from_iterable(
+        words[let - 1] if let > 0 else invert_ab(words[-let - 1]) for let in word))
 
 
 def random_matrix(rng: random.Random, max_len: int = 12) -> ProjMat2:

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from itertools import product
 
 import pytest
 
@@ -15,13 +16,15 @@ from heq.equations import (
     parse_eq_word,
     reduce_equation,
     render_equation,
+    rewrite_values,
     substitute,
 )
-from heq.freewords import free_reduce, invert_word, parse_free_word, pq_to_matrix
+from heq.freewords import (NotInKernel, free_reduce, invert_word, matrix_to_free_word,
+                           parse_free_word, pq_to_matrix, rewrite_kernel)
 from heq.pipeline import AnalysisReport, analyze, verify
 from heq.words import abelianize, decompose, quotient_order
 
-from conftest import random_matrix, run_python
+from conftest import letters_ab_word, random_matrix, run_python
 
 
 def cyclic_reduce(word):
@@ -398,22 +401,75 @@ def test_context_tables_match_first_principles(rng):
         letters = [sign * let for let in range(1, ctx.x_letter + 1) for sign in (1, -1)]
         word = tuple(rng.choice(letters) for _ in range(rng.randrange(10)))
         assert ctx.word_image(word) == abelianize(decompose(evaluate(word, ctx)))
-        assert ctx.ab_word(word) == decompose(evaluate(word, ctx))
+        if ctx.word_image(word):
+            with pytest.raises(NotInKernel):
+                rewrite_values([word], ctx)
+        else:
+            assert rewrite_values([word], ctx) == (matrix_to_free_word(evaluate(word, ctx)),)
         assert analyze(hs, g).index == quotient_order(images)
 
 
+def test_rewrite_values_match_both_references(rng):
+    # the seams of the rewriting table: torsion h's (a of order 2, b of
+    # order 3), h = I and g = I with an empty a/b-word, a repeated h; on each
+    # context every word of up to 6 letters that maps to 0 in Z/6 is
+    # rewritten in one call, and each value equals the matrix route and the
+    # letters' reduced a/b-word, both rewritten from state 0
+    ident = ProjMat2(1, 0, 0, 1)
+    contexts = [([MAT_A], ident), ([MAT_B], MAT_A), ([ident], MAT_B), ([MAT_B, MAT_B], ident),
+                ([MAT_A, ident], MAT_B), ([MAT_A, MAT_B], MAT_A * MAT_B)]
+    pool = [MAT_A, MAT_B, ident]
+    for _ in range(4):
+        pool.append(random_matrix(rng, 6))
+        hs = [rng.choice(pool) for _ in range(rng.randrange(1, 3))]
+        contexts.append((hs, rng.choice(pool)))
+    checked = 0
+    for hs, g in contexts:
+        ctx = HContext.from_matrices(hs, g)
+        letters = [sign * let for let in range(1, ctx.x_letter + 1) for sign in (1, -1)]
+        words = [()]
+        for length in range(1, 7):
+            words += product(letters, repeat=length)
+        words = [w for w in words if not ctx.word_image(w)]
+        for w, v in zip(words, rewrite_values(words, ctx), strict=True):
+            assert v == matrix_to_free_word(evaluate(w, ctx))
+            assert v == rewrite_kernel(letters_ab_word(w, ctx))
+        checked += len(words)
+    assert checked > 10000
+
+
 def test_ab_word_budget(monkeypatch):
-    # the letters' words are counted before any syllable is built, so the
-    # cancelling word h1 h1^-1 is refused over the budget as well
+    # rewrite_values counts the letters' a/b-words before any piece of its
+    # rewriting table is built, so the cancelling word h1 h1^-1 is refused
+    # over the budget as well, and a refused call builds no piece at all
     t400, t = ProjMat2(1, 400, 0, 1), ProjMat2(1, 1, 0, 1)
     ctx = HContext.from_matrices([t400], t)
-    assert ctx.ab_word((1, 2, -1)) == decompose(t)
-    assert ctx.ab_word((1, 1)) == decompose(t400 * t400)
+    # h1 = T^400 maps to 4 in Z/6 and x = T to 1
+    for word in ((1, 2, -1), (1, 1)):
+        with pytest.raises(NotInKernel):
+            rewrite_values([word], ctx)
+    assert rewrite_values([(1, 2, -1, 2, 2, 2, 2, 2), (1, 1, 1)], ctx) == (
+        matrix_to_free_word(ProjMat2(1, 6, 0, 1)), matrix_to_free_word(ProjMat2(1, 1200, 0, 1)))
+    pieces = []
+    walk = heq.equations.rewrite_from
+
+    def counted(state, word):
+        pieces.append(word)
+        return walk(state, word)
+
+    monkeypatch.setattr(heq.equations, "rewrite_from", counted)
     monkeypatch.setattr(heq.equations, "WORD_BUDGET", 1000)
-    assert len(ctx.ab_word((1, 2))) == 802
+    # 800 + 2 + 2 a/b letters, the value T^402 maps to 0
+    assert rewrite_values([(1, 2, 2)], ctx) == (matrix_to_free_word(t400 * t * t),)
+    assert len(pieces) == 3
+    pieces.clear()
     for word in ((1, 1), (1, -1), (-1, 2, -1)):
         with pytest.raises(ValueError, match="budget"):
-            ctx.ab_word(word)
+            rewrite_values([word], ctx)
+        # a word under the budget ahead of it does not get rewritten either
+        with pytest.raises(ValueError, match="budget"):
+            rewrite_values([(2,) * 6, word], ctx)
+    assert pieces == []
 
 
 _UNBALANCED_EQUATION = """

@@ -25,7 +25,7 @@ from heq.pipeline import (
 )
 from heq.words import WORD_BUDGET, quotient_order
 
-from conftest import random_matrix
+from conftest import letters_ab_word, random_matrix
 
 
 def equation_multiset(ctx, texts):
@@ -263,9 +263,10 @@ def test_random_verdicts_survive_brute_force(rng):
 
 
 def test_symbolic_values_match_matrix_route(h1, h2, rng):
-    # v_i is read off the letters' a/b-words; the matrix route it replaced
-    # (multiply w_i(g) out, peel it back into an a/b-word) must agree on
-    # every nontrivial generator
+    # v_i is rewritten letter by letter; the routes it replaced must agree
+    # on every nontrivial generator: the letters' a/b-words reduced into the
+    # value's a/b-word, and the matrix route (multiply w_i(g) out, peel it
+    # back into an a/b-word), each rewritten from state 0
     contexts = [([h1, h2], ProjMat2(5, 3, 3, 2)), ([h1, h2], ProjMat2(1, 0, -2, 1))]
     for _ in range(60):
         hs = [random_matrix(rng, 6) for _ in range(rng.randrange(1, 4))]
@@ -277,7 +278,7 @@ def test_symbolic_values_match_matrix_route(h1, h2, rng):
         values = [report.w_words[i] for i in report.nontrivial_indices]
         assert len(values) == len(report.v_words)
         for w, v in zip(values, report.v_words):
-            assert rewrite_kernel(ctx.ab_word(w)) == v
+            assert rewrite_kernel(letters_ab_word(w, ctx)) == v
             assert matrix_to_free_word(evaluate(w, ctx)) == v
             checked += 1
     assert checked > 200
@@ -299,6 +300,25 @@ def test_analyze_decomposes_only_the_inputs(h1, h2, monkeypatch):
     report = analyze([h1, h2], g)
     assert len(report.v_words) == 12
     assert calls == [h1, h2, g]
+
+
+def test_analyze_reduces_ab_words_only_for_the_inputs(h1, h2, monkeypatch):
+    # reduce_ab runs once per input matrix, inside its decomposition, and
+    # never on a generator value: values are rewritten letter by letter
+    reduce_ab = heq.words.reduce_ab
+    reduced = []
+
+    def counted(letters):
+        word = reduce_ab(letters)
+        reduced.append(word)
+        return word
+
+    for module in (heq.words, heq.equations, heq.freewords, heq.pipeline, heq.stallings):
+        if getattr(module, "reduce_ab", None) is reduce_ab:
+            monkeypatch.setattr(module, "reduce_ab", counted)
+    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+    assert len(report.v_words) == 12
+    assert reduced == [*report.ctx.h_words, report.ctx.g_word]
 
 
 def test_analyze_refuses_generator_value_over_budget():
