@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import neg
 from typing import Iterable, Sequence
 
-from .psl2 import MAT_P, MAT_Q, ProjMat2, _product
+from .psl2 import MAT_P, MAT_Q, ProjMat2, _block_product, _block_table
 from .words import (QUOTIENT_ORDER, SYLLABLE_IMAGE, WORD_BUDGET, ABWord, abelianize, decompose,
                     eval_ab)
 
@@ -166,11 +166,19 @@ PQ_NAMES = ("p", "q")
 
 _PQ_ENTRIES = {let: tuple(m) for let, m in
                ((P, MAT_P), (-P, MAT_P.inv()), (Q, MAT_Q), (-Q, MAT_Q.inv()))}
+# every word of 1..psl2.BLOCK letters over p^+-1, q^+-1, reduced or not ->
+# the entries of its product
+_PQ_BLOCKS = _block_table(_PQ_ENTRIES)
 
 
 def pq_to_matrix(word: FreeWord) -> ProjMat2:
-    """Product of the p/q matrices named by the word."""
-    return _product(map(_PQ_ENTRIES.__getitem__, word))
+    """Product of the p/q matrices named by the word, which need not be
+    freely reduced.
+
+    The word is multiplied out psl2.BLOCK letters at a time, each slice
+    looked up in _PQ_BLOCKS (see the psl2 module docstring).
+    """
+    return _block_product(_PQ_BLOCKS, word)
 
 
 def parse_free_word(text: str) -> FreeWord:

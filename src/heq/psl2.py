@@ -14,24 +14,36 @@ determinant.  Products and inverses are trusted: det(AB) = det A * det B = 1
 and the adjugate of a determinant-1 matrix has determinant 1, so they are
 only sign-normalized.  Every word value in the pipeline (equations.evaluate,
 the coefficients of equations.reduce_equation, words.eval_ab,
-freewords.pq_to_matrix) is multiplied out by _product over the letters'
-entries, as plain ints, with one sign normalization at the end.  Only the
-enumeration oracle keeps its own entry arithmetic, so that it stays an
-independent cross-check.
+freewords.pq_to_matrix) is multiplied out by _product over entry tuples, as
+plain ints, with one sign normalization at the end.  equations.evaluate
+feeds it one tuple per letter.  words.eval_ab and freewords.pq_to_matrix,
+whose alphabets are fixed, go through _block_product, which feeds it one
+tuple per block: the word is cut into consecutive slices of BLOCK letters,
+and each slice is looked up in a table of the products of every word of
+1..BLOCK letters (_block_table), built at import from the letter table.  A
+block's product is taken mod -I like any other, so the final value is
+unchanged; a word of at most BLOCK letters is a single lookup.  The
+pipeline's self-checks compare these values with letterwise products
+(analyze compares pq_to_matrix with evaluate, verify's check (c) likewise,
+decompose compares eval_ab with its input matrix), so a wrong block entry
+raises or fails a check.  Only the enumeration oracle keeps its own entry
+arithmetic, so that it stays an independent cross-check.
 
-The letter tables that _product and the oracle's ball loop over once per
-letter (HContext._entries, which HContext.letter_matrix and so
-enumeration._ball read, words._SYLLABLE_ENTRIES and freewords._PQ_ENTRIES)
-hold tuple(m), an exact tuple, not the ProjMat2: CPython unpacks an exact
-tuple faster than an instance of a tuple subclass, and a ProjMat2 equals
-its tuple, so one table serves as both.  Elsewhere matrices go to _product
-as they are.
+The letter tables that _product and the oracle's ball loop over
+(HContext._entries, which HContext.letter_matrix and so enumeration._ball
+read, words._SYLLABLE_ENTRIES and freewords._PQ_ENTRIES) and the block
+tables built from the last two (words._SYLLABLE_BLOCKS and
+freewords._PQ_BLOCKS) hold tuple(m), an exact tuple, not the ProjMat2:
+CPython unpacks an exact tuple faster than an instance of a tuple
+subclass, and a ProjMat2 equals its tuple, so one table serves as both.
+Elsewhere matrices go to _product as they are.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from operator import itemgetter
-from typing import Iterable
+from typing import Hashable, Iterable, Mapping
 
 Entries = tuple[int, int, int, int]
 
@@ -122,6 +134,32 @@ def _product(factors: Iterable[Entries]) -> ProjMat2:
     for e, f, g, h in factors:
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return _trusted(a, b, c, d)
+
+
+# the length of the slices that words.eval_ab and freewords.pq_to_matrix
+# look up in their block tables
+BLOCK = 4
+
+
+def _block_table(letters: Mapping[Hashable, Entries]) -> dict[tuple, Entries]:
+    """Every word of 1..BLOCK letters over a letter table, as a tuple of
+    letters, mapped to the exact entry tuple of its product."""
+    return {word: tuple(_product(map(letters.__getitem__, word)))
+            for n in range(1, BLOCK + 1) for word in product(letters, repeat=n)}
+
+
+def _block_product(blocks: Mapping[tuple, Entries], word: Iterable) -> ProjMat2:
+    """The product of a word over a fixed alphabet, given the alphabet's
+    _block_table.  A word of 1..BLOCK letters is one lookup; a longer word
+    goes to _product as its consecutive BLOCK-letter slices, the last one
+    shorter when BLOCK does not divide its length."""
+    word = tuple(word)
+    n = len(word)
+    if n > BLOCK:
+        slices = map(slice, range(0, n, BLOCK), range(BLOCK, n + BLOCK, BLOCK))
+        return _product(map(blocks.__getitem__, map(word.__getitem__, slices)))
+    # table entries are sign-normalized already
+    return _new(ProjMat2, blocks[word]) if n else IDENTITY
 
 
 IDENTITY = ProjMat2(1, 0, 0, 1)

@@ -91,6 +91,8 @@ from .freewords import (
 NUM_LABELS = 2  # p, q
 # bucket k of a vertex holds the edges that read SLOT_LETTERS[k] from it
 SLOT_LETTERS = (1, -1, 2, -2)
+# letter -> the bucket of the edges that read it
+_SLOT = {let: k for k, let in enumerate(SLOT_LETTERS)}
 
 
 @dataclass
@@ -128,21 +130,10 @@ class StallingsAutomaton:
         self.buckets: dict[int, list[list[int]]] = {base: [[] for _ in SLOT_LETTERS]}
         # vertices whose buckets changed since the last fold
         self.changed = {base}
+        # each edge is added as a one-letter path; fold_generators starts
+        # from no edges
         for e in edges:
-            self._add_edge(e.src, e.label, e.dst, e.mem)
-
-    def _add_edge(self, src: int, label: int, dst: int, mem: Word) -> None:
-        serial = len(self.src)
-        self.src.append(src)
-        self.dst.append(dst)
-        self.labels.append(label)
-        self.mem.append(mem)
-        self.alive.append(True)
-        for v, slot in ((src, 2 * label - 2), (dst, 2 * label - 1)):
-            if v not in self.buckets:
-                self.buckets[v] = [[] for _ in SLOT_LETTERS]
-            self.buckets[v][slot].append(serial)
-            self.changed.add(v)
+            _attach_petal(self, (e.label,), e.src, e.dst, e.mem, ())
 
     def _remove_edge(self, serial: int) -> None:
         self.alive[serial] = False
@@ -176,7 +167,8 @@ class StallingsAutomaton:
 
         Returns (end vertex, memory product along the path), or None when
         some letter cannot be read.  Requires a deterministic automaton, such
-        as a folded one, so that the walk is unique.
+        as a folded one, so that the walk is unique.  A letter other than
+        +-1, +-2 met before the walk stops raises ValueError.
         """
         read, v, mem = _read(self, word)
         return (v, mem) if read == len(word) else None
@@ -266,16 +258,22 @@ def _read(aut: StallingsAutomaton, word: Word) -> tuple[int, int, Word]:
     mem: list[int] = []
     read = 0
     for let in word:
-        bucket = adj[v][SLOT_LETTERS.index(let)]
+        try:
+            bucket = adj[v][_SLOT[let]]
+        except KeyError:
+            raise ValueError(f"letter {let} is none of {SLOT_LETTERS}") from None
         if not bucket:
             break
         i = bucket[0]
+        # most edges carry no memory
         if let > 0:
             v = dst[i]
-            mem.extend(mems[i])
+            if mems[i]:
+                mem.extend(mems[i])
         else:
             v = src[i]
-            mem.extend(invert_word(mems[i]))
+            if mems[i]:
+                mem.extend(invert_word(mems[i]))
         read += 1
     return read, v, free_reduce(mem)
 
@@ -285,19 +283,63 @@ def _attach_petal(aut: StallingsAutomaton, word: FreeWord, start: int, end: int,
     """Add a path reading the non-empty word from start to end, on fresh
     vertices numbered after the existing ones.  Read along the word, its
     first edge carries the memory head and its last edge tail; a one-letter
-    path carries head + tail."""
+    path carries head + tail.  An edge reading a negative letter is stored
+    reversed, with the inverse memory.
+
+    The path is appended in one pass, with no call per edge: its edges take
+    the next serials in word order, each fresh vertex gets new buckets
+    holding its two edges, start and end get one edge each (and buckets
+    first, start before end, if they have none, which only the
+    constructor's edges need), and every vertex on the path is marked
+    changed.  This is what adding the edges one at a time in word order
+    leaves, which the tests check against such a per-edge adder.
+    """
+    n = len(word)
+    first = len(aut.src)
     fresh = max(aut.vertices()) + 1
-    cur = start
-    last = len(word) - 1
-    for pos, let in enumerate(word):
-        nxt = end if pos == last else fresh
-        fresh += 1
-        mem = (head if pos == 0 else ()) + (tail if pos == last else ())
+    src, dst, buckets, slot = aut.src, aut.dst, aut.buckets, _SLOT
+    if start not in buckets:
+        buckets[start] = [[] for _ in SLOT_LETTERS]
+    buckets[start][slot[word[0]]].append(first)
+    # edge first + k reads word[k] from vertex a to the fresh vertex b,
+    # whose buckets hold it and edge first + k + 1
+    a, serial = start, first
+    for b, let, after in zip(range(fresh, fresh + n - 1), word, word[1:]):
         if let > 0:
-            aut._add_edge(cur, let, nxt, mem)
+            src.append(a)
+            dst.append(b)
         else:
-            aut._add_edge(nxt, -let, cur, invert_word(mem))
-        cur = nxt
+            src.append(b)
+            dst.append(a)
+        adj: list[list[int]] = [[], [], [], []]
+        adj[slot[-let]].append(serial)
+        serial += 1
+        adj[slot[after]].append(serial)
+        buckets[b] = adj
+        a = b
+    # the last edge reaches end
+    if word[-1] > 0:
+        src.append(a)
+        dst.append(end)
+    else:
+        src.append(end)
+        dst.append(a)
+    if end not in buckets:
+        buckets[end] = [[] for _ in SLOT_LETTERS]
+    buckets[end][slot[-word[-1]]].append(serial)
+    aut.labels.extend(map(abs, word))
+    mems: list[Word] = [()] * n
+    mems[0] = head
+    mems[-1] += tail
+    if word[0] < 0:
+        mems[0] = invert_word(mems[0])
+    if n > 1 and word[-1] < 0:
+        mems[-1] = invert_word(mems[-1])
+    aut.mem.extend(mems)
+    aut.alive.extend([True] * n)
+    aut.changed.add(start)
+    aut.changed.update(range(fresh, fresh + n - 1))
+    aut.changed.add(end)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
-from .psl2 import MAT_A, MAT_B, ProjMat2, _product, _trusted
+from .psl2 import MAT_A, MAT_B, ProjMat2, _block_product, _block_table, _trusted
 
 ABWord = tuple[str, ...]
 
 _MAT_B2 = MAT_B * MAT_B
 _SYLLABLE_ENTRIES = {"a": tuple(MAT_A), "b": tuple(MAT_B), "b2": tuple(_MAT_B2)}
+# every syllable sequence of 1..psl2.BLOCK syllables, normal or not -> the
+# entries of its product
+_SYLLABLE_BLOCKS = _block_table(_SYLLABLE_ENTRIES)
 
 # Translation matrix T = b*a = [[1,1],[0,1]]; used by decompose().  The
 # identity T = ba is re-verified at import time right below.
@@ -54,40 +57,45 @@ _LETTER_TO_SYLLABLE = {
 }
 
 
-def _push(stack: list[str], syl: str) -> None:
-    if not stack:
-        stack.append(syl)
-        return
-    top = stack[-1]
-    if syl == "a":
-        if top == "a":
-            stack.pop()
-        else:
-            stack.append(syl)
-        return
-    if top in ("b", "b2"):
-        exp = (1 if top == "b" else 2) + (1 if syl == "b" else 2)
-        stack.pop()
-        exp %= 3
-        if exp:
-            # the new top is "a" or nothing, so the merged syllable stays
-            stack.append("b" if exp == 1 else "b2")
-        return
-    stack.append(syl)
+# the b-syllable that two merged b-syllables leave, None for b^3 = 1
+_B_MERGED = {("b", "b"): "b2", ("b", "b2"): None, ("b2", "b"): None, ("b2", "b2"): "b"}
 
 
 def reduce_ab(letters: Iterable[str]) -> ABWord:
     """Normal form of a product of generator letters.
 
     Accepts the letters a, a^-1, b, b^-1 (and the aliases b2, b^2 for b^-1);
-    uses a^-1 = a and b^-1 = b^2.
+    uses a^-1 = a and b^-1 = b^2.  One pass over a stack of syllables,
+    its top kept in a local: a syllable from the other factor than the
+    top's is pushed, a onto a cancels it, and b or b2 onto b or b2 merges
+    with it.  Any other letter raises ValueError.
     """
     stack: list[str] = []
+    top = ""  # stack[-1], or "" for an empty stack
     for letter in letters:
         try:
-            _push(stack, _LETTER_TO_SYLLABLE[letter])
+            syl = _LETTER_TO_SYLLABLE[letter]
         except KeyError:
             raise ValueError(f"unknown letter {letter!r}") from None
+        if syl == "a":
+            if top == "a":
+                stack.pop()
+                top = stack[-1] if stack else ""
+            else:
+                stack.append(syl)
+                top = syl
+        elif top == "a" or not top:
+            stack.append(syl)
+            top = syl
+        else:
+            # the syllable below a b-syllable is "a" or nothing, so the
+            # merged syllable stays
+            merged = _B_MERGED[top, syl]
+            if merged:
+                stack[-1] = top = merged
+            else:
+                stack.pop()
+                top = stack[-1] if stack else ""
     return tuple(stack)
 
 
@@ -100,8 +108,13 @@ def invert_ab(word: ABWord) -> ABWord:
 
 
 def eval_ab(word: ABWord) -> ProjMat2:
-    """Product of the generator matrices named by the word."""
-    return _product(map(_SYLLABLE_ENTRIES.__getitem__, word))
+    """Product of the generator matrices named by the word, which need not
+    be in normal form.
+
+    The word is multiplied out psl2.BLOCK syllables at a time, each slice
+    looked up in _SYLLABLE_BLOCKS (see the psl2 module docstring).
+    """
+    return _block_product(_SYLLABLE_BLOCKS, word)
 
 
 def abelianize(word: ABWord) -> int:

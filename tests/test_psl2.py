@@ -1,10 +1,13 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
+from heq.freewords import _PQ_BLOCKS, _PQ_ENTRIES, pq_to_matrix
 from heq.psl2 import (
-    IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, _product,
+    BLOCK, IDENTITY, MAT_A, MAT_B, MAT_P, MAT_Q, NotUnimodular, ProjMat2, _product,
 )
+from heq.words import _SYLLABLE_BLOCKS, _SYLLABLE_ENTRIES, eval_ab
 
 from conftest import random_matrix
 
@@ -134,9 +137,50 @@ def test_matrix_is_its_entry_tuple():
 
 def test_letter_tables_hold_exact_tuples():
     from heq.equations import HContext
-    from heq.freewords import _PQ_ENTRIES
-    from heq.words import _SYLLABLE_ENTRIES
 
     ctx = HContext.from_matrices([MAT_P, MAT_Q], MAT_P * MAT_Q)
-    for table in (ctx._entries, _PQ_ENTRIES, _SYLLABLE_ENTRIES):
+    for table in (ctx._entries, _PQ_ENTRIES, _SYLLABLE_ENTRIES, _PQ_BLOCKS, _SYLLABLE_BLOCKS):
         assert all(type(entries) is tuple for entries in table.values())
+
+
+# the block products against _product fed one letter at a time: every word
+# of up to 9 letters (two full blocks and a one-letter rest), normal or not
+BLOCK_CASES = {
+    "pq": (pq_to_matrix, _PQ_ENTRIES, _PQ_BLOCKS, 340),
+    "ab": (eval_ab, _SYLLABLE_ENTRIES, _SYLLABLE_BLOCKS, 120),
+}
+
+
+def letterwise(entries, word):
+    return _product(map(entries.__getitem__, word))
+
+
+@pytest.mark.parametrize("alphabet", sorted(BLOCK_CASES))
+def test_block_tables_hold_every_short_word(alphabet):
+    multiply, entries, blocks, size = BLOCK_CASES[alphabet]
+    assert BLOCK == 4
+    assert len(blocks) == size
+    assert set(blocks) == {w for n in range(1, BLOCK + 1) for w in product(entries, repeat=n)}
+    assert all(blocks[w] == letterwise(entries, w) for w in blocks)
+    # a word of up to BLOCK letters is looked up, not multiplied
+    assert all(type(multiply(w)) is ProjMat2 for w in [(), *blocks])
+
+
+@pytest.mark.parametrize("alphabet", sorted(BLOCK_CASES))
+def test_block_products_match_letterwise_on_short_words(alphabet):
+    multiply, entries, _, _ = BLOCK_CASES[alphabet]
+    for n in range(10):
+        bad = [w for w in product(entries, repeat=n) if multiply(w) != letterwise(entries, w)]
+        assert not bad[:3], n
+
+
+@pytest.mark.parametrize("alphabet", sorted(BLOCK_CASES))
+def test_block_products_match_letterwise_on_long_words(alphabet, rng):
+    # HEQ_SEED-drawn words of 100-2000 letters, reduced or not, of every
+    # length mod BLOCK
+    multiply, entries, _, _ = BLOCK_CASES[alphabet]
+    letters = sorted(entries, key=str)
+    for _ in range(24):
+        word = tuple(rng.choice(letters) for _ in range(rng.randrange(100, 2001)))
+        assert multiply(word) == letterwise(entries, word), len(word)
+        assert multiply(list(word)) == multiply(word)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from itertools import product
@@ -63,6 +64,46 @@ def reads_loop(aut, word):
     assert all(len(bucket) <= 1 for buckets in aut.buckets.values() for bucket in buckets)
     hit = aut.trace(free_reduce(word))
     return hit is not None and hit[0] == aut.base
+
+
+def reference_add_edge(aut, src, label, dst, mem):
+    """The per-edge adder that stallings._attach_petal's one pass replaced,
+    kept as its reference: append the edge under the next serial, give a
+    new end its buckets, file the serial in the out bucket of src and the
+    in bucket of dst, and mark both ends changed."""
+    serial = len(aut.src)
+    aut.src.append(src)
+    aut.dst.append(dst)
+    aut.labels.append(label)
+    aut.mem.append(mem)
+    aut.alive.append(True)
+    for v, slot in ((src, 2 * label - 2), (dst, 2 * label - 1)):
+        if v not in aut.buckets:
+            aut.buckets[v] = [[] for _ in range(4)]
+        aut.buckets[v][slot].append(serial)
+        aut.changed.add(v)
+
+
+def reference_attach_petal(aut, word, start, end, head, tail):
+    """stallings._attach_petal one edge at a time, by reference_add_edge."""
+    fresh = max(aut.vertices()) + 1
+    cur = start
+    last = len(word) - 1
+    for pos, let in enumerate(word):
+        nxt = end if pos == last else fresh
+        fresh += 1
+        mem = (head if pos == 0 else ()) + (tail if pos == last else ())
+        if let > 0:
+            reference_add_edge(aut, cur, let, nxt, mem)
+        else:
+            reference_add_edge(aut, nxt, -let, cur, invert_word(mem))
+        cur = nxt
+
+
+def automaton_state(aut):
+    """Everything an automaton stores, its bucket map in key order."""
+    return (aut.base, aut.src, aut.dst, aut.labels, aut.mem, aut.alive,
+            list(aut.buckets.items()), aut.changed)
 
 
 def test_build_flower_sizes():
@@ -144,6 +185,55 @@ def test_membership_on_deterministic_flower():
     assert answers == [reads_loop(fold_generators([pw("p q")])[0], w) for w in words]
     assert reads_loop(flower, pw("q^-1 p^-1 p q p q"))
     assert not reads_loop(flower, pw("q p"))
+
+
+def test_trace_refuses_letters_other_than_p_q():
+    aut, _ = fold_generators(V43)
+    assert aut.trace((1, 1)) is not None
+    for bad in (0, 3, -3):
+        for word in ((bad,), (1, bad)):
+            with pytest.raises(ValueError):
+                aut.trace(word)
+
+
+def test_attach_petal_matches_per_edge_reference(rng):
+    """The one-pass petal read-in leaves what adding the path one edge at
+    a time leaves, on seeded automata, paths and memories."""
+    autos = [StallingsAutomaton(0, [])] + [fold_generators(random_generator_set(rng))[0]
+                                            for _ in range(25)]
+    covered = set()
+    for aut in autos:
+        vertices = sorted(aut.vertices())
+        for length in (1, 2, rng.randrange(3, 9), rng.randrange(60, 160)):
+            word = reduced_word(rng, length)
+            unreduced = tuple(rng.choice([1, -1, 2, -2]) for _ in range(length))
+            for path in (word, invert_word(word), unreduced):
+                head, tail = reduced_word(rng, rng.randrange(1, 4)), reduced_word(rng, 2)
+                for memories in product(((), head), ((), tail)):
+                    start, end = rng.choice(vertices), rng.choice(vertices)
+                    got, expected = copy.deepcopy(aut), copy.deepcopy(aut)
+                    stallings._attach_petal(got, path, start, end, *memories)
+                    reference_attach_petal(expected, path, start, end, *memories)
+                    assert automaton_state(got) == automaton_state(expected)
+                    covered.add((len(path) > 1, path[0] < 0, path[-1] < 0,
+                                 bool(memories[0]), bool(memories[1])))
+    # one-letter and longer paths, each end's letter of either sign (one
+    # sign for a one-letter path), each memory empty or not
+    assert len(covered) == 8 + 16
+
+
+def test_constructor_adds_edges_as_the_per_edge_reference(rng):
+    """Edges handed to the constructor, new vertices and loops among them,
+    are filed as reference_add_edge files them."""
+    edge_lists = [list(edges) for edges in HAND_BUILT] + [
+        [Edge(rng.randrange(6), rng.choice((1, 2)), rng.randrange(6),
+              reduced_word(rng, rng.randrange(3))) for _ in range(rng.randrange(1, 12))]
+        for _ in range(50)]
+    for edges in edge_lists:
+        expected = StallingsAutomaton(0, [])
+        for e in edges:
+            reference_add_edge(expected, e.src, e.label, e.dst, e.mem)
+        assert automaton_state(StallingsAutomaton(0, edges)) == automaton_state(expected)
 
 
 def test_presentation_free_pair():
