@@ -40,14 +40,17 @@ One breadth-first search from the basepoint, _SearchTree, serves the fold
 and every reader.  A search keeps its queue, each discovered vertex's queue
 position and tree edge.  bfs_order lists the queue of a tree grown to the
 end; canonical_edges numbers vertices by it, and basis_words reads one loop
-per non-tree edge off the tree paths.  Each fold step runs a new search,
-which stops at the first dirty vertex it discovers; the search never
-discovers the basepoint, so a dirty basepoint is taken first, without a
-search.  A closed folding multiplies out the memories along the tree path
-to its target, from a new search grown only as far as that target; the path
-to the basepoint is empty and needs no search.  A step thus costs the
-vertices its searches discover, which is few when the fold works near the
-basepoint and most of the automaton when it works far from it.
+per non-tree edge off the tree paths.  Each fold step runs one search, which
+stops at the first dirty vertex it discovers; the search never discovers
+the basepoint, so a dirty basepoint is taken first, without growing it.  A
+closed folding multiplies out the memories along the tree path to its
+target, read off the step's own search, which is grown on only when it
+has not yet discovered the target; the path to the basepoint is empty.
+Nothing changes the automaton in between, and the discovery order depends
+on the automaton only, so the search goes on in the order a fresh one
+would, and the path is the one a fresh search gives.  A step thus costs
+the vertices its search discovers, which is few when the fold works near
+the basepoint and most of the automaton when it works far from it.
 
 fold_generators reads each petal into the folded automaton before it folds
 anything.  Of petal i's reduced word w, n letters long, it reads the
@@ -103,13 +106,6 @@ class Edge:
     mem: Word = ()
 
 
-@dataclass(frozen=True)
-class FoldStep:
-    closed: bool
-    label: int
-    relator: Word | None = None
-
-
 class StallingsAutomaton:
     """Labeled based graph, stored as the module docstring states.
 
@@ -130,6 +126,9 @@ class StallingsAutomaton:
         self.buckets: dict[int, list[list[int]]] = {base: [[] for _ in SLOT_LETTERS]}
         # vertices whose buckets changed since the last fold
         self.changed = {base}
+        edges = tuple(edges)
+        if bad := {e.label for e in edges} - {1, 2}:
+            raise ValueError(f"edge labels {sorted(bad)} are not 1 (p) or 2 (q)")
         # each edge is added as a one-letter path; fold_generators starts
         # from no edges
         for e in edges:
@@ -214,7 +213,11 @@ class _SearchTree:
     def grow(self, targets: Container[int] = ()) -> int | None:
         """Search from the basepoint until a vertex of targets is
         discovered, and return it; None once every vertex is discovered and
-        none is a target.  The basepoint is never discovered."""
+        none is a target.  The basepoint is never discovered.
+
+        A second call on an unchanged automaton continues in the same
+        discovery order: it walks the discovered vertices again, which
+        discovers nothing, and goes on where the first call stopped."""
         queue, via, pos = self.queue, self.via, self.pos
         adj, fars = self.aut.buckets, self.aut.far_ends
         for v in queue:
@@ -360,14 +363,16 @@ def _trim(aut: StallingsAutomaton) -> None:
         del aut.buckets[v]
 
 
-def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
+def _fold_in_place(aut: StallingsAutomaton) -> list[Word]:
     """Fold aut until it is deterministic and co-deterministic, then trim it.
 
     Takes the fold steps in the order the module docstring states, each
-    found by a fresh search from the basepoint; returns them in that order.
+    off one search from the basepoint, which a closed folding grows on only
+    when it has not yet discovered the folding's target.  Returns the
+    relators of the closed foldings in fold order.
     """
     base = aut.base
-    src, dst, labels, mem, adj = aut.src, aut.dst, aut.labels, aut.mem, aut.buckets
+    src, dst, mem, adj = aut.src, aut.dst, aut.mem, aut.buckets
     fars = aut.far_ends
 
     def is_dirty(v: int) -> bool:
@@ -382,11 +387,12 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
     # aut is connected and folding keeps it so: the search meets every
     # dirty vertex
     dirty = {v for v in aut.changed if is_dirty(v)}
-    steps: list[FoldStep] = []
+    relators: list[Word] = []
     while dirty:
         # the first dirty vertex in discovery order; the search never
         # discovers the basepoint, which comes first
-        v = base if base in dirty else _SearchTree(aut).grow(dirty)
+        tree = _SearchTree(aut)
+        v = base if base in dirty else tree.grow(dirty)
         for slot, bucket in enumerate(adj[v]):
             if len(bucket) > 1:
                 break
@@ -395,15 +401,14 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
             # closed folding: the two edges are parallel; read the relator
             # around the redundant cycle, conjugated back to the basepoint
             target = src[keep]
-            tree = _SearchTree(aut)
-            if target != base:
+            if target not in tree.pos:
                 tree.grow((target,))
             path = tree.path(target, mem)
             relator = free_reduce(path + mem[keep] + invert_word(mem[merge])
                                   + invert_word(path))
             if not relator:
                 raise RuntimeError("closed folding produced an empty relator")
-            steps.append(FoldStep(True, labels[keep], relator))
+            relators.append(relator)
             aut._remove_edge(merge)
             recheck(src[merge])
             recheck(dst[merge])
@@ -420,7 +425,6 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
         else:
             gamma = free_reduce(mem[merge] + invert_word(mem[keep]))
         inv_gamma = invert_word(gamma)
-        steps.append(FoldStep(False, labels[keep]))
         aut._remove_edge(merge)
         for k, (moved, into) in enumerate(zip(adj.pop(y), adj[z])):
             for i in moved:
@@ -440,7 +444,7 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[FoldStep]:
         if v != y:
             recheck(v)
     _trim(aut)
-    return steps
+    return relators
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +507,7 @@ def fold_generators(gens: Sequence[FreeWord]) -> tuple[StallingsAutomaton, tuple
             _attach_petal(aut, word[k:n - j], u, v, invert_word(head), (petal,) + tail)
             continue
         _attach_petal(aut, word, base, base, (), (petal,))
-        steps = _fold_in_place(aut)
-        relators.extend(s.relator for s in steps if s.closed)
+        relators.extend(_fold_in_place(aut))
     return aut, tuple(relators)
 
 

@@ -11,7 +11,6 @@ from heq.pipeline import analyze
 from heq.psl2 import ProjMat2
 from heq.stallings import (
     Edge,
-    FoldStep,
     PresentationOnGenerators,
     StallingsAutomaton,
     fold_generators,
@@ -39,23 +38,23 @@ def substitute_free(relator, gens):
 def build_flower(gens):
     """The flower automaton, the reference the read-in is checked against:
     one petal per word, attached whole at the basepoint, the last edge of
-    petal i carrying x_i.  An empty word gives no petal but the closed
-    step with relator x_i, returned in the list of such steps."""
+    petal i carrying x_i.  An empty word gives no petal but the relator
+    x_i, returned in the list of such relators."""
     aut = StallingsAutomaton(0, [])
     trivial = []
     for petal, word in enumerate(gens, start=1):
         if word:
             stallings._attach_petal(aut, word, aut.base, aut.base, (), (petal,))
         else:
-            trivial.append(FoldStep(True, 0, (petal,)))
+            trivial.append((petal,))
     return aut, trivial
 
 
 def flower_fold(gens):
     """The flower folded in one go by stallings._fold_in_place, as looked
-    up at the call: (the folded automaton, every fold step)."""
-    aut, steps = build_flower(gens)
-    return aut, steps + stallings._fold_in_place(aut)
+    up at the call: (the folded automaton, its relators in fold order)."""
+    aut, relators = build_flower(gens)
+    return aut, relators + stallings._fold_in_place(aut)
 
 
 def reads_loop(aut, word):
@@ -115,10 +114,9 @@ def test_build_flower_sizes():
 
 def test_build_flower_records_empty_words():
     flower, trivial = build_flower([(), pw("p"), ()])
-    assert trivial == [FoldStep(True, 0, (1,)), FoldStep(True, 0, (3,))]
+    assert trivial == [(1,), (3,)]
     assert len(flower.edges) == 1
-    _, steps = flower_fold([(), pw("p"), ()])
-    assert [s.relator for s in steps] == [(1,), (3,)]
+    assert flower_fold([(), pw("p"), ()])[1] == [(1,), (3,)]
     # the read-in emits the same relators for them, in petal order
     assert fold_generators([(), pw("p"), ()])[1] == ((1,), (3,))
 
@@ -177,8 +175,10 @@ def test_membership_on_first_example_automaton():
 def test_membership_on_deterministic_flower():
     # the flower of p q has nothing to fold, so it is read as it stands
     flower, _ = build_flower([pw("p q")])
-    folded, steps = flower_fold([pw("p q")])
-    assert steps == []
+    folded, relators = flower_fold([pw("p q")])
+    # no folding at all, open or closed: every edge stands as it was built
+    assert relators == []
+    assert folded.edges == flower.edges
     words = [w for n in range(5) for w in product((1, -1, 2, -2), repeat=n)]
     answers = [reads_loop(flower, w) for w in words]
     assert answers == [reads_loop(folded, w) for w in words]
@@ -194,6 +194,13 @@ def test_trace_refuses_letters_other_than_p_q():
         for word in ((bad,), (1, bad)):
             with pytest.raises(ValueError):
                 aut.trace(word)
+
+
+def test_constructor_refuses_labels_other_than_p_q():
+    # 0 and 3 have no bucket; -1 and -2 would be filed reversed
+    for bad in (0, 3, -1, -2):
+        with pytest.raises(ValueError):
+            StallingsAutomaton(0, [Edge(0, 1, 1), Edge(0, bad, 1)])
 
 
 def test_attach_petal_matches_per_edge_reference(rng):
@@ -313,12 +320,11 @@ def test_presentation_random_tuples(rng):
         for w in gens:
             if w:
                 assert reads_loop(aut, w)
-        # the one-shot flower fold gives the same automaton and as many
-        # closed folds as relators
-        flower, steps = flower_fold(gens)
+        # the one-shot flower fold gives the same automaton and as many relators
+        flower, flower_relators = flower_fold(gens)
         assert flower.canonical_edges() == aut.canonical_edges()
         assert flower.basis_words() == aut.basis_words()
-        assert sum(step.closed for step in steps) == len(pres.relators)
+        assert len(flower_relators) == len(pres.relators)
 
 
 def test_basis_matches_matrices():
@@ -457,13 +463,13 @@ def _ref_gauge(aut, vertex, gamma):
             e.mem = free_reduce(e.mem + gamma)
 
 
-def _ref_fold_pair(aut, direction, keep_i, merge_i, steps):
+def _ref_fold_pair(aut, direction, keep_i, merge_i, relators):
     keep, merge = aut.edges[keep_i], aut.edges[merge_i]
     if keep.src == merge.src and keep.dst == merge.dst:
         path = _ref_mem_path(aut, keep.src)
         relator = free_reduce(path + keep.mem + invert_word(merge.mem) + invert_word(path))
         assert relator
-        steps.append(FoldStep(True, keep.label, relator))
+        relators.append(relator)
         del aut.edges[merge_i]
         return
     end = "dst" if direction == 0 else "src"
@@ -474,7 +480,6 @@ def _ref_fold_pair(aut, direction, keep_i, merge_i, steps):
         _ref_gauge(aut, y, free_reduce(invert_word(merge.mem) + keep.mem))
     else:
         _ref_gauge(aut, y, free_reduce(merge.mem + invert_word(keep.mem)))
-    steps.append(FoldStep(False, keep.label))
     aut.edges = [e for e in aut.edges if e is not merge]
     for e in aut.edges:
         if e.src == y:
@@ -485,13 +490,13 @@ def _ref_fold_pair(aut, direction, keep_i, merge_i, steps):
 
 def reference_fold_in_place(aut):
     ref = ListAutomaton(aut)
-    steps = []
+    relators = []
     while (pair := _ref_find_foldable(ref)) is not None:
-        _ref_fold_pair(ref, *pair, steps)
+        _ref_fold_pair(ref, *pair, relators)
     ref.trim()
     # hand the folded edge list back in the engine's representation
     aut.__init__(aut.base, ref.edges)
-    return steps
+    return relators
 
 
 # canonical_edges reads the patched bfs_order
@@ -587,7 +592,7 @@ def letterwise_fold(gens, fold_in_place):
             relators.append(free_reduce(hit[1] + (-petal,)))
             continue
         stallings._attach_petal(aut, word, aut.base, aut.base, (), (petal,))
-        relators.extend(s.relator for s in fold_in_place(aut) if s.closed)
+        relators.extend(fold_in_place(aut))
     return aut, tuple(relators)
 
 
@@ -634,15 +639,18 @@ HAND_BUILT = (
     # two q-edges fold at the basepoint, then a path hangs off it
     [Edge(0, 1, 0), Edge(0, 2, 1), Edge(1, 1, 2), Edge(2, 2, 3), Edge(0, 2, 4, (1,)),
      Edge(4, 1, 5)],
+    # the search stops at vertex 1, in the middle of the basepoint's edges,
+    # before it discovers 2, the source of the parallel edges into 1
+    [Edge(0, 1, 1), Edge(2, 2, 1, (1,)), Edge(2, 2, 1, (2,)), Edge(2, 1, 0, (3,))],
 )
 
 
-def _fold_outputs(aut, steps, words):
+def _fold_outputs(aut, relators, words):
     """A folded automaton's edges and every reader's output on it, with
-    the steps that folded it."""
+    the relators its fold read off."""
     reads = [aut.bfs_order(), aut.rank(), [aut.trace(w) for w in words],
              aut.basis_words(), aut.canonical_edges()]
-    return [(e.src, e.label, e.dst, e.mem) for e in aut.edges], steps, reads
+    return [(e.src, e.label, e.dst, e.mem) for e in aut.edges], relators, reads
 
 
 def _gamma_outputs(aut, relators, words):
@@ -680,6 +688,25 @@ def test_fold_engine_matches_rescan_reference(rng, monkeypatch):
             for gens in sets] == expected[2]
 
 
+@pytest.mark.parametrize("index, relators", [(0, [(1, -2)]), (3, [(-3, 1, -2, 3)])],
+                         ids=("found", "grown-on"))
+def test_one_search_per_fold_step(index, relators, monkeypatch):
+    """The one closed folding of each automaton lies away from the
+    basepoint; its relator is read off the search that found it, grown on
+    to the folding's source in HAND_BUILT[3]."""
+    searches = []
+
+    class CountedSearch(stallings._SearchTree):
+        def __init__(self, aut):
+            searches.append(aut)
+            super().__init__(aut)
+
+    monkeypatch.setattr(stallings, "_SearchTree", CountedSearch)
+    aut = StallingsAutomaton(0, HAND_BUILT[index])
+    assert stallings._fold_in_place(aut) == relators
+    assert len(searches) == 1
+
+
 @pytest.mark.parametrize("name", sorted(BOUNDARY_SETS))
 def test_clean_petals_are_never_folded(name, monkeypatch):
     """A petal whose middle attaches cleanly never calls the fold, so the
@@ -697,18 +724,18 @@ def test_clean_petals_are_never_folded(name, monkeypatch):
 
 # sha256 of (subgroup_presentation's rank, the basis of its folded
 # automaton, subgroup_presentation's relators) and of the flower fold's
-# (steps, canonical edges), on the v-words of h = (w1, w2, w3) and
+# (relators, canonical edges), on the v-words of h = (w1, w2, w3) and
 # g = w1 w2^-1 for 1000-letter a/b words w_i drawn from each seed.  The fold
 # order fixes both, so they must never change.
 PINNED_LONG = {
     1: ("a65e399c73bcf7eee4155404aa9455ebab5f5b817828cc7dbecb70f322535f61",
-        "6b1af99f2ab372f2926fe9a0a8b9af85e1e1cfc845964d4df853be7c93a781ff"),
+        "24570b879a0bd9266a07749b15b82508046ce819a83fecab4ffc208c1a149b13"),
     2: ("efff7da7d23a1149bfed8946b6e57b85edd9695fa9de8176a7c3e85ce5827827",
-        "a55f3c1059acebb99060446a7eaf75aa6f04e2094e63541d4eb96323aae0c9f3"),
+        "56ac763f2018f127afb4b88d625eacf2200ab40409b60cfe1cca2035e1c38341"),
     3: ("cd6d41132482260246a92c90208a95837171d285c0b2868c174013b5c285ed72",
-        "f0f935a4d8092c3af93e42a335fd9d4680444db67358721ac1d90c8efde99735"),
+        "eabaabc35da5a6cde4e2a31cee3d160865f7a740f9e47137c6743997fb863d50"),
     4: ("7eff7296799fc8fb2b3e2bfc716d5d8620ef065ce22613b1b3f33d3b5fc76ae1",
-        "249f369469806245c006353853fa2c3deadb37acc0f843e9420326a6289bbf41"),
+        "8865064f3954492b8d7bc8f4a04e1729efbbc9bde0d26da6996a6b66e5735a20"),
 }
 
 
@@ -720,11 +747,11 @@ def test_long_words_pinned(seed):
     report = analyze(mats, mats[0] * mats[1].inv())
     pres = report.presentation
     aut, relators = fold_generators(report.v_words)
-    flower, steps = flower_fold(report.v_words)
+    flower, flower_relators = flower_fold(report.v_words)
     assert relators == pres.relators
-    assert len(pres.relators) == sum(step.closed for step in steps) == 3
+    assert len(pres.relators) == len(flower_relators) == 3
     assert flower.canonical_edges() == aut.canonical_edges()
     digests = tuple(hashlib.sha256(repr(value).encode()).hexdigest()
                     for value in ((pres.rank, aut.basis_words(), pres.relators),
-                                  (tuple(steps), flower.canonical_edges())))
+                                  (flower_relators, flower.canonical_edges())))
     assert digests == PINNED_LONG[seed]
