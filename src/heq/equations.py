@@ -181,6 +181,12 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     exponent -e cancels that x, and the coefficient before it merges into
     the current one.  A coefficient's provenance is the slice of the word it
     spans, less the x letters cancelled inside it.
+
+    Each segment, the letters between two x's, is multiplied out once per
+    call: a repeated one, as in the long ideal words of commuting inputs,
+    reuses its product from a dict local to the call.  The memo holds
+    segment products only; a merge multiplies the carried coefficient onto
+    the segment's product afterwards, so it never enters the memo.
     """
     word = tuple(word)
     x = ctx.x_letter
@@ -189,9 +195,13 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     signs: list[int] = []
     starts: list[int] = []  # where each coefficient in coeffs begins in word
     carry: ProjMat2 | None = None  # a merged coefficient's matrix so far
+    products: dict[Word, ProjMat2] = {}  # segment -> its product
     start = seg = 0  # the current coefficient and its last segment begin here
     for end in [i for i, let in enumerate(word) if let == x or let == -x] + [len(word)]:
-        cur = _product(map(entry, word[seg:end]))
+        part = word[seg:end]
+        cur = products.get(part)
+        if cur is None:
+            cur = products[part] = _product(map(entry, part))
         if carry is not None:
             cur = carry * cur
         if end == len(word):

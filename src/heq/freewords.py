@@ -55,6 +55,27 @@ def free_reduce(letters: Iterable[int]) -> Word:
     return tuple(stack)
 
 
+def join_reduced(words: Iterable[Word]) -> Word:
+    """free_reduce of the freely reduced words written one after another.
+
+    Only junctions can cancel: at each, the longest tail of the letters so
+    far that the next word starts inverted goes, and the rest of that word
+    is appended whole.
+    """
+    out: list[int] = []
+    for word in words:
+        if out and word and out[-1] == -word[0]:
+            out.pop()
+            k, n = 1, len(word)
+            while out and k < n and out[-1] == -word[k]:
+                out.pop()
+                k += 1
+            out += word[k:]
+        else:
+            out += word
+    return tuple(out)
+
+
 def invert_word(word: Word) -> Word:
     return tuple(map(neg, reversed(word)))
 

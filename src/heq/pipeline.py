@@ -212,10 +212,7 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
 
     presentation = subgroup_presentation(v_words)
 
-    ideal_words = tuple(
-        substitute(rel, [w_words[i] for i in nontrivial])
-        for rel in presentation.relators
-    )
+    ideal_words = tuple(substitute(rel, values) for rel in presentation.relators)
     # a report must stay readable: verify's word parser refuses longer words
     longest = max(map(len, presentation.relators + ideal_words), default=0)
     if longest > WORD_BUDGET:

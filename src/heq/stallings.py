@@ -14,7 +14,12 @@ free group on the petal letters) of that loop's homotopy class.  Merging two
 edges whose memories disagree is preceded by a "gauge" move at the absorbed
 vertex, which re-routes the discrepancy onto the other incident edges and
 keeps the invariant intact; a closed folding then reads its relator straight
-off the two memories.
+off the two memories.  Memories are freely reduced words, and stay so: every
+product of memories, the gauge, a gauged memory, a relator and the product
+along a path, is a join of freely reduced words (freewords.join_reduced),
+which can cancel only where two of them meet, so no memory is reduced letter
+by letter again.  The constructor refuses an edge whose memory is not freely
+reduced.
 
 Relators, memories and vertex numbers depend on the fold order, which is
 fixed.  Each step folds at the first *dirty* vertex (one with two edges of
@@ -89,6 +94,7 @@ from .freewords import (
     format_word,
     free_reduce,
     invert_word,
+    join_reduced,
 )
 
 NUM_LABELS = 2  # p, q
@@ -129,6 +135,9 @@ class StallingsAutomaton:
         edges = tuple(edges)
         if bad := {e.label for e in edges} - {1, 2}:
             raise ValueError(f"edge labels {sorted(bad)} are not 1 (p) or 2 (q)")
+        # the fold joins memories at their junction only
+        if bad := [e.mem for e in edges if free_reduce(e.mem) != tuple(e.mem)]:
+            raise ValueError(f"edge memories {bad} are not freely reduced")
         # each edge is added as a one-letter path; fold_generators starts
         # from no edges
         for e in edges:
@@ -234,7 +243,9 @@ class _SearchTree:
 
     def path(self, v: int, words: Sequence[Word]) -> Word:
         """Product of words[serial] along the tree path base -> v, each
-        edge crossed backwards giving its inverse; freely reduced."""
+        edge crossed backwards giving its inverse.  The words must be freely
+        reduced; they are joined where they meet, and the product comes
+        back freely reduced."""
         aut = self.aut
         base, src, dst, pos, via = aut.base, aut.src, aut.dst, self.pos, self.via
         chain: list[Word] = []
@@ -246,7 +257,7 @@ class _SearchTree:
             else:
                 chain.append(invert_word(words[i]))
                 v = dst[i]
-        return free_reduce(let for part in reversed(chain) for let in part)
+        return join_reduced(reversed(chain))
 
 
 def _read(aut: StallingsAutomaton, word: Word) -> tuple[int, int, Word]:
@@ -254,11 +265,12 @@ def _read(aut: StallingsAutomaton, word: Word) -> tuple[int, int, Word]:
     basepoint, taking the first edge of each bucket.
 
     Returns (letters read, end vertex, memory product along the path,
-    freely reduced).  On a deterministic automaton the walk is unique.
+    the join of its freely reduced memories).  On a deterministic automaton
+    the walk is unique.
     """
     v = aut.base
     adj, src, dst, mems = aut.buckets, aut.src, aut.dst, aut.mem
-    mem: list[int] = []
+    parts: list[Word] = []
     read = 0
     for let in word:
         try:
@@ -272,13 +284,13 @@ def _read(aut: StallingsAutomaton, word: Word) -> tuple[int, int, Word]:
         if let > 0:
             v = dst[i]
             if mems[i]:
-                mem.extend(mems[i])
+                parts.append(mems[i])
         else:
             v = src[i]
             if mems[i]:
-                mem.extend(invert_word(mems[i]))
+                parts.append(invert_word(mems[i]))
         read += 1
-    return read, v, free_reduce(mem)
+    return read, v, join_reduced(parts)
 
 
 def _attach_petal(aut: StallingsAutomaton, word: FreeWord, start: int, end: int,
@@ -404,8 +416,8 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[Word]:
             if target not in tree.pos:
                 tree.grow((target,))
             path = tree.path(target, mem)
-            relator = free_reduce(path + mem[keep] + invert_word(mem[merge])
-                                  + invert_word(path))
+            relator = join_reduced((path, mem[keep], invert_word(mem[merge]),
+                                    invert_word(path)))
             if not relator:
                 raise RuntimeError("closed folding produced an empty relator")
             relators.append(relator)
@@ -421,9 +433,9 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[Word]:
             keep, merge = merge, keep
             y, z = z, y
         if slot % 2 == 0:
-            gamma = free_reduce(invert_word(mem[merge]) + mem[keep])
+            gamma = join_reduced((invert_word(mem[merge]), mem[keep]))
         else:
-            gamma = free_reduce(mem[merge] + invert_word(mem[keep]))
+            gamma = join_reduced((mem[merge], invert_word(mem[keep])))
         inv_gamma = invert_word(gamma)
         aut._remove_edge(merge)
         for k, (moved, into) in enumerate(zip(adj.pop(y), adj[z])):
@@ -431,11 +443,11 @@ def _fold_in_place(aut: StallingsAutomaton) -> list[Word]:
                 if k % 2 == 0:
                     src[i] = z
                     if gamma:
-                        mem[i] = free_reduce(inv_gamma + mem[i])
+                        mem[i] = join_reduced((inv_gamma, mem[i]))
                 else:
                     dst[i] = z
                     if gamma:
-                        mem[i] = free_reduce(mem[i] + gamma)
+                        mem[i] = join_reduced((mem[i], gamma))
             if moved:
                 into.extend(moved)
                 into.sort()
@@ -500,7 +512,7 @@ def fold_generators(gens: Sequence[FreeWord]) -> tuple[StallingsAutomaton, tuple
         n = len(word)
         k, u, head = _read(aut, word)
         if k == n and u == base:
-            relators.append(free_reduce(head + (-petal,)))
+            relators.append(join_reduced((head, (-petal,))))
             continue
         j, v, tail = _read(aut, invert_word(word[k:]))
         if k + j < n and not (u == v and word[k] == -word[n - j - 1]):

@@ -7,10 +7,11 @@ import pytest
 
 import heq.equations
 
-from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
+from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2, _product
 from heq.equations import (
     HContext,
     HEquation,
+    _provenance,
     evaluate,
     format_eq_word,
     parse_eq_word,
@@ -164,6 +165,66 @@ def test_one_pass_reduction_matches_reference(ctx_43, ctx_44, h1, rng):
             ref = reduce_equation_reference(word, ctx)
             assert eq.coeffs == ref.coeffs and eq.signs == ref.signs, word
             assert render_equation(eq, ctx) == render_equation(ref, ctx)
+
+
+def reduce_equation_letterwise(word, ctx):
+    """reduce_equation's one-pass loop with every segment multiplied out
+    where it is met, kept as the reference for the per-call segment memo."""
+    word = tuple(word)
+    x = ctx.x_letter
+    coeffs, signs, starts = [], [], []
+    carry = None
+    start = seg = 0
+    for end in [i for i, let in enumerate(word) if let == x or let == -x] + [len(word)]:
+        cur = _product(map(ctx.letter_matrix, word[seg:end]))
+        if carry is not None:
+            cur = carry * cur
+        if end == len(word):
+            break
+        sign = 1 if word[end] > 0 else -1
+        if signs and signs[-1] == -sign and cur == IDENTITY:
+            signs.pop()
+            carry = coeffs.pop()[0]
+            start = starts.pop()
+        else:
+            coeffs.append((cur, _provenance(word[start:end], x)))
+            starts.append(start)
+            signs.append(sign)
+            carry, start = None, end + 1
+        seg = end + 1
+    coeffs.append((cur, _provenance(word[start:], x)))
+    return HEquation(coeffs, signs)
+
+
+def test_segment_memo_matches_letterwise_loop(h1, rng):
+    """Words cut into few distinct segments, over torsion h's whose
+    nonempty segments can be trivial, so that x^e . x^-e merges carry a
+    coefficient onto a segment that comes back later."""
+    contexts = [HContext.from_matrices([MAT_A, MAT_B], ProjMat2(5, 3, 3, 2)),
+                HContext.from_matrices([MAT_B, h1], MAT_A),
+                HContext.from_matrices([MAT_A, MAT_B, h1], ProjMat2(1, 0, -2, 1))]
+    words = [(2, 3, 1, 1, -3, 2, 3, 2)]  # h2 x h1 h1 x^-1 h2 x h2 in the first
+    for ctx in contexts:
+        x = ctx.x_letter
+        hs = [s * i for i in range(1, x) for s in (1, -1)]
+        for _ in range(150):
+            pool = [tuple(rng.choice(hs) for _ in range(rng.randrange(4)))
+                    for _ in range(rng.randrange(1, 4))]
+            word = list(rng.choice(pool))
+            for _ in range(rng.randrange(40)):
+                word += [rng.choice((x, -x)), *rng.choice(pool)]
+            words.append(tuple(word))
+    merged = 0
+    for ctx in contexts:
+        for word in words:
+            if any(abs(let) > ctx.x_letter for let in word):
+                continue
+            eq = reduce_equation(word, ctx)
+            ref = reduce_equation_letterwise(word, ctx)
+            assert eq.coeffs == ref.coeffs and eq.signs == ref.signs, word
+            assert eq.coeffs == reduce_equation_reference(word, ctx).coeffs
+            merged += eq.degree < word.count(ctx.x_letter) + word.count(-ctx.x_letter)
+    assert merged > 100
 
 
 def test_reduced_invariant_holds(ctx_43, rng):

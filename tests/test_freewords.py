@@ -11,6 +11,7 @@ from heq.freewords import (
     format_word,
     free_reduce,
     invert_word,
+    join_reduced,
     matrix_to_free_word,
     parse_free_word,
     parse_word,
@@ -99,6 +100,44 @@ def test_rewrite_kernel_round_trip(rng):
             continue
         assert pq_to_matrix(rewrite_kernel(word)) == eval_ab(word)
         done += 1
+
+
+def drawn_reduced_word(rng, length):
+    word = []
+    while len(word) < length:
+        let = rng.choice([1, -1, 2, -2, 3, -3])
+        if not word or let != -word[-1]:
+            word.append(let)
+    return tuple(word)
+
+
+def test_join_reduced_matches_free_reduce(rng):
+    """The junction join of freely reduced words is their free reduction,
+    on drawn words and on the cancelling shapes drawn words rarely give."""
+    cases = [((), ()), ((1, 2), ()), ((), (-2, 3)), ((1, 2), (-2, -1)), ((1,), (-1, 2))]
+    for _ in range(400):
+        a = drawn_reduced_word(rng, rng.randrange(12))
+        b = drawn_reduced_word(rng, rng.randrange(12))
+        cut = rng.randrange(len(a) + 1)
+        # total cancellation, an empty side, and b starting with the inverse
+        # of a's last `len(a) - cut` letters
+        cases += [(a, b), (a, invert_word(a)), (a, ()), ((), b),
+                  (a, free_reduce(invert_word(a[cut:]) + b))]
+    shapes = set()
+    for a, b in cases:
+        assert join_reduced((a, b)) == free_reduce(a + b), (a, b)
+        cancelled = (len(a) + len(b) - len(free_reduce(a + b))) // 2
+        shapes.add((not a, not b, cancelled == min(len(a), len(b)) > 0, cancelled > 0))
+    assert {(True, False, False, False), (False, True, False, False),
+            (False, False, True, True), (False, False, False, True)} <= shapes
+    for _ in range(200):
+        words = []
+        for _ in range(rng.randrange(6)):
+            prev = words[-1] if words else ()
+            cut = rng.randrange(len(prev) + 1)
+            words.append(free_reduce(invert_word(prev[cut:])
+                                     + drawn_reduced_word(rng, rng.randrange(8))))
+        assert join_reduced(iter(words)) == free_reduce(let for w in words for let in w)
 
 
 def test_format_parse_round_trip(rng):

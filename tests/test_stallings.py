@@ -203,6 +203,20 @@ def test_constructor_refuses_labels_other_than_p_q():
             StallingsAutomaton(0, [Edge(0, 1, 1), Edge(0, bad, 1)])
 
 
+def test_constructor_refuses_unreduced_memories(monkeypatch):
+    # the fold joins memories at their junction only, which needs them
+    # freely reduced; a refused list files no edge
+    filed = []
+    monkeypatch.setattr(stallings, "_attach_petal",
+                        lambda *args: filed.append(args))
+    for bad in ((1, -1), (2, 1, -1, 3), (-2, 2)):
+        with pytest.raises(ValueError):
+            StallingsAutomaton(0, [Edge(0, 1, 1, (1, 2)), Edge(1, 2, 0, bad)])
+    assert filed == []
+    StallingsAutomaton(0, [Edge(0, 1, 1, (1, 2)), Edge(1, 2, 0, (2, -1, -3))])
+    assert len(filed) == 2
+
+
 def test_attach_petal_matches_per_edge_reference(rng):
     """The one-pass petal read-in leaves what adding the path one edge at
     a time leaves, on seeded automata, paths and memories."""
