@@ -22,7 +22,7 @@ from .freewords import (FreeWord, NotInKernel, Word, format_word, free_reduce, p
                         rewrite_from)
 from .freewords import substitute  # part of this module's API
 from .psl2 import IDENTITY, Entries, ProjMat2, _product
-from .words import QUOTIENT_ORDER, WORD_BUDGET, ABWord, abelianize, decompose, invert_ab
+from .words import QUOTIENT_ORDER, WORD_BUDGET, ABWord, expand, invert_ab, peel, peel_image
 
 EqWord = Word
 
@@ -32,50 +32,74 @@ class HContext:
     """The ambient data of an analysis: H = <h_1..h_s> and the element g.
 
     A context is its matrices: h_mats may be given as any sequence and is
-    stored as a tuple, and h_words and g_word, their canonical a/b-word
-    decompositions, are derived at construction and take no part in
-    equality or hashing.  The letter names h1..hs, x and each
-    signed letter's entry 4-tuple, a/b-word (for -let the inverse of let's
-    word) and image in Z/6 are computed once, at construction, so letter
-    and word lookups do no matrix or word arithmetic; rewrite_values reads
-    the a/b-words and images to rewrite words' values at g into {p, q}.
-    equation(word) memoizes reduce_equation, so each word is reduced at most
-    once per context, however many readers ask for its normal form.
-    is_trivial(word) reads the flag without a normal form wherever the
-    x-exponent sum or the value decides it, and through equation otherwise.
+    stored as a tuple, and everything derived from the matrices takes no
+    part in equality or hashing.  The letter names h1..hs, x and each
+    signed letter's entry 4-tuple and image in Z/6 are computed at
+    construction, where each matrix is peeled (words.peel, which checks the
+    word budget and the peel), so letter and word lookups do no matrix or
+    word arithmetic.  The canonical a/b-words h_words and g_word, and each
+    signed letter's a/b-word (for -let the inverse of let's word), are
+    expanded from the peels on first read (ab_words) and memoized;
+    rewrite_values reads them to rewrite words' values at g into {p, q}, and
+    a report's to_dict prints them, while the Schreier graph, verify and the
+    oracle never read them.  equation(word) memoizes reduce_equation, so
+    each word is reduced at most once per context, however many readers ask
+    for its normal form.  is_trivial(word) reads the flag without a normal
+    form wherever the x-exponent sum or the value decides it, and through
+    equation otherwise.
     """
 
     h_mats: tuple[ProjMat2, ...]
     g_mat: ProjMat2
-    h_words: tuple[ABWord, ...] = field(init=False, repr=False, compare=False)
-    g_word: ABWord = field(init=False, repr=False, compare=False)
     letter_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _entries: dict[int, Entries] = field(init=False, repr=False, compare=False)
-    _ab_words: dict[int, ABWord] = field(init=False, repr=False, compare=False)
     _image: dict[int, int] = field(init=False, repr=False, compare=False)
+    _peels: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _ab_words: dict[int, ABWord] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
     _equations: dict[EqWord, HEquation] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "h_mats", tuple(self.h_mats))
         mats = self.h_mats + (self.g_mat,)
-        # decompose checks that each word evaluates back to its matrix
-        words = tuple(map(decompose, mats))
+        # peel checks the budget and that each peel multiplies back to its matrix
+        peels = tuple(map(peel, mats))
         entries: dict[int, Entries] = {}
-        ab_words: dict[int, ABWord] = {}
         image: dict[int, int] = {}
-        for let, (mat, word) in enumerate(zip(mats, words), start=1):
+        for let, (mat, exponents) in enumerate(zip(mats, peels), start=1):
             entries[let], entries[-let] = tuple(mat), tuple(mat.inv())
-            ab_words[let], ab_words[-let] = word, invert_ab(word)
-            image[let] = abelianize(word)
+            image[let] = peel_image(exponents)
             image[-let] = -image[let] % QUOTIENT_ORDER
-        object.__setattr__(self, "h_words", words[:-1])
-        object.__setattr__(self, "g_word", words[-1])
         object.__setattr__(self, "letter_names",
                            tuple(f"h{i}" for i in range(1, self.s + 1)) + ("x",))
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_ab_words", ab_words)
         object.__setattr__(self, "_image", image)
+        object.__setattr__(self, "_peels", peels)
+
+    def ab_words(self) -> dict[int, ABWord]:
+        """Each signed letter's a/b-word, every matrix expanded once per
+        context, the first time any reader asks.  Threads that ask at once
+        may both expand a matrix and store the same words."""
+        words = self._ab_words
+        if len(words) < 2 * self.x_letter:
+            mats = self.h_mats + (self.g_mat,)
+            for let, (mat, exponents) in enumerate(zip(mats, self._peels), start=1):
+                if let not in words:
+                    # expand checks that the word evaluates back to its matrix
+                    word = expand(mat, exponents)
+                    words[-let] = invert_ab(word)
+                    words[let] = word
+        return words
+
+    @property
+    def h_words(self) -> tuple[ABWord, ...]:
+        words = self.ab_words()
+        return tuple(words[let] for let in range(1, self.x_letter))
+
+    @property
+    def g_word(self) -> ABWord:
+        return self.ab_words()[self.x_letter]
 
     @classmethod
     def from_matrices(cls, h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> "HContext":
@@ -182,11 +206,13 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     the current one.  A coefficient's provenance is the slice of the word it
     spans, less the x letters cancelled inside it.
 
-    Each segment, the letters between two x's, is multiplied out once per
-    call: a repeated one, as in the long ideal words of commuting inputs,
-    reuses its product from a dict local to the call.  The memo holds
-    segment products only; a merge multiplies the carried coefficient onto
-    the segment's product afterwards, so it never enters the memo.
+    In a word with two or more x's, each segment, the letters between two
+    x's, is multiplied out once per call: a repeated one, as in the long
+    ideal words of commuting inputs, reuses its product from a dict local to
+    the call.  The memo holds segment products only; a merge multiplies the
+    carried coefficient onto the segment's product afterwards, so it never
+    enters the memo.  A word with at most one x, as most of the oracle's
+    halves are, has at most two segments and makes no memo.
     """
     word = tuple(word)
     x = ctx.x_letter
@@ -195,13 +221,19 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     signs: list[int] = []
     starts: list[int] = []  # where each coefficient in coeffs begins in word
     carry: ProjMat2 | None = None  # a merged coefficient's matrix so far
-    products: dict[Word, ProjMat2] = {}  # segment -> its product
     start = seg = 0  # the current coefficient and its last segment begin here
-    for end in [i for i, let in enumerate(word) if let == x or let == -x] + [len(word)]:
+    cuts = [i for i, let in enumerate(word) if let == x or let == -x]
+    cuts.append(len(word))
+    # segment -> its product, made only for a word of three or more segments
+    products: dict[Word, ProjMat2] | None = {} if len(cuts) > 2 else None
+    for end in cuts:
         part = word[seg:end]
-        cur = products.get(part)
-        if cur is None:
-            cur = products[part] = _product(map(entry, part))
+        if products is None:
+            cur = _product(map(entry, part))
+        else:
+            cur = products.get(part)
+            if cur is None:
+                cur = products[part] = _product(map(entry, part))
         if carry is not None:
             cur = carry * cur
         if end == len(word):
@@ -241,13 +273,14 @@ def rewrite_values(words: Sequence[EqWord], ctx: HContext) -> tuple[FreeWord, ..
     value ever built.  Pieces are built the first time a word needs them and
     kept for the other words of this call only: one per state and signed
     letter, at most 6 * 2(s+1), the edges of the Schreier graph in both
-    directions.
+    directions.  The letters' a/b-words come from ctx.ab_words, so in
+    analyze this is where the input matrices are expanded, once each.
 
     Raises ValueError, before building any piece, when the letters' a/b-words
     of some word have more than WORD_BUDGET syllables in all, and
     NotInKernel when a word does not map to 0 in Z/6.
     """
-    ab_words, image = ctx._ab_words, ctx._image
+    ab_words, image = ctx.ab_words(), ctx._image
     for word in words:
         length = sum(map(len, map(ab_words.__getitem__, word)))
         if length > WORD_BUDGET:

@@ -4,7 +4,8 @@ Given matrices h_1..h_s and g, decide whether g is algebraic over
 H = <h_1..h_s> and produce equations that normally generate the ideal of
 all equations g satisfies:
 
- 1. decompose the inputs into a/b-words and map them to C2 x C3 = Z/6;
+ 1. peel the inputs (words.peel) and map them to C2 x C3 = Z/6; their
+    a/b-words are expanded only in step 4, which reads them;
  2. build the Schreier graph of the subgroup of H*<x> consisting of the
     equations whose value at g lies in the free kernel F.  PSL2(Z)/F is
     C2 x C3 = Z/6, so this subgroup is the kernel of the letterwise map
@@ -136,9 +137,9 @@ class AnalysisReport:
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
         """Parse and type-check a to_dict() mapping.  The context is read
-        from h and g alone and decomposes the matrices; no equation word is
-        reduced.  h_words, g_word, the images and the other rendered fields
-        are not read."""
+        from h and g alone and peels the matrices, expanding no a/b-word;
+        no equation word is reduced.  h_words, g_word, the images and the
+        other rendered fields are not read."""
         ctx = HContext(tuple(map(ProjMat2.from_rows, data["h"])),
                        ProjMat2.from_rows(data["g"]))
         w_words = tuple(parse_eq_word(g["word"], ctx) for g in data["generators"])

@@ -25,7 +25,7 @@ block's product is taken mod -I like any other, so the final value is
 unchanged; a word of at most BLOCK letters is a single lookup.  The
 pipeline's self-checks compare these values with letterwise products
 (analyze compares pq_to_matrix with evaluate, verify's check (c) likewise,
-decompose compares eval_ab with its input matrix), so a wrong block entry
+words.expand compares eval_ab with its input matrix), so a wrong block entry
 raises or fails a check.  Only the enumeration oracle keeps its own entry
 arithmetic, so that it stays an independent cross-check.
 

@@ -1,6 +1,8 @@
 import copy
 import json
 import pickle
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -427,22 +429,60 @@ def test_format_parse_round_trip(ctx_44, rng):
 
 def test_context_is_its_matrices(h1, h2):
     # the words are derived from the matrices, and equality, hashing,
-    # deepcopy and pickle see the matrices only
+    # deepcopy and pickle see the matrices only, whether or not the words
+    # have been expanded yet
     g = ProjMat2(5, 3, 3, 2)
     ctx = HContext((h1, h2), g)
+    unread = [copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))]
+    assert not ctx._ab_words and not any(c._ab_words for c in unread)
     assert ctx.h_words == (decompose(h1), decompose(h2)) and ctx.g_word == decompose(g)
     twin = HContext.from_matrices([h1, h2], g)
-    object.__setattr__(twin, "h_words", ())
-    object.__setattr__(twin, "g_word", ("a",))
+    twin._ab_words.update({1: (), 2: (), 3: ("a",)})
     assert twin == ctx and hash(twin) == hash(ctx)
     assert HContext((h2, h1), g) != ctx and HContext((h1, h2), h1) != ctx
     # any sequence of h_i makes the same context
     listed = HContext([h1, h2], g)
     assert listed.h_mats == (h1, h2)
     assert listed == ctx and hash(listed) == hash(ctx)
-    for copied in (copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+    for copied in unread + [copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))]:
         assert copied == ctx and hash(copied) == hash(ctx)
         assert copied.h_words == ctx.h_words and copied.g_word == ctx.g_word
+
+
+def test_threads_share_a_context_before_its_words_are_read(rng):
+    # threads that read a fresh context's words at once, with the
+    # interpreter switching threads as often as it can, each see every
+    # word whole: a reader returns only once every signed letter is stored
+    contexts = [HContext.from_matrices([random_matrix(rng, 60) for _ in range(3)],
+                                       random_matrix(rng, 60)) for _ in range(50)]
+    seen, errors = [], []
+    start = threading.Barrier(8)
+
+    def read():
+        try:
+            start.wait(timeout=60)
+            for ctx in contexts:
+                words = ctx.ab_words()
+                seen.append((ctx, ctx.h_words, ctx.g_word,
+                             [words[-let] for let in range(1, ctx.x_letter + 1)]))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(seen) == 8 * len(contexts)
+    for ctx, h_words, g_word, inverses in seen:
+        assert h_words == tuple(map(decompose, ctx.h_mats)) and g_word == decompose(ctx.g_mat)
+        assert inverses == [decompose(m.inv()) for m in ctx.h_mats + (ctx.g_mat,)]
 
 
 def test_context_tables_match_first_principles(rng):

@@ -285,26 +285,29 @@ def test_symbolic_values_match_matrix_route(h1, h2, rng):
 
 
 def test_analyze_decomposes_only_the_inputs(h1, h2, monkeypatch):
-    # decompose runs once per input matrix and never on a generator value
+    # each input matrix is peeled once, at construction, and expanded once,
+    # and no generator value is ever peeled, expanded or decomposed
     calls = []
 
-    def counted(decompose):
-        def wrapper(m):
-            calls.append(m)
-            return decompose(m)
+    def counted(name, fn):
+        def wrapper(m, *rest):
+            calls.append((name, m))
+            return fn(m, *rest)
         return wrapper
 
-    monkeypatch.setattr(heq.equations, "decompose", counted(heq.equations.decompose))
-    monkeypatch.setattr(heq.freewords, "decompose", counted(heq.freewords.decompose))
+    for name in ("peel", "expand"):
+        monkeypatch.setattr(heq.equations, name, counted(name, getattr(heq.equations, name)))
+    monkeypatch.setattr(heq.freewords, "decompose", counted("decompose", heq.freewords.decompose))
     g = ProjMat2(1, 0, -2, 1)
     report = analyze([h1, h2], g)
     assert len(report.v_words) == 12
-    assert calls == [h1, h2, g]
+    assert calls == [("peel", h1), ("peel", h2), ("peel", g),
+                     ("expand", h1), ("expand", h2), ("expand", g)]
 
 
 def test_analyze_reduces_ab_words_only_for_the_inputs(h1, h2, monkeypatch):
-    # reduce_ab runs once per input matrix, inside its decomposition, and
-    # never on a generator value: values are rewritten letter by letter
+    # reduce_ab never runs: the inputs' words are expanded from their peels
+    # chunk by chunk, and values are rewritten letter by letter
     reduce_ab = heq.words.reduce_ab
     reduced = []
 
@@ -318,7 +321,34 @@ def test_analyze_reduces_ab_words_only_for_the_inputs(h1, h2, monkeypatch):
             monkeypatch.setattr(module, "reduce_ab", counted)
     report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
     assert len(report.v_words) == 12
-    assert reduced == [*report.ctx.h_words, report.ctx.g_word]
+    assert report.ctx.h_words and report.ctx.g_word
+    assert reduced == []
+
+
+def test_words_are_expanded_only_when_read(h1, h2, rng, monkeypatch):
+    # analyze expands each input matrix exactly once, inside rewrite_values;
+    # to_dict reads the memo, and from_dict followed by verify expands nothing
+    expanded = []
+    expand = heq.equations.expand
+
+    def counted(m, exponents):
+        expanded.append(m)
+        return expand(m, exponents)
+
+    monkeypatch.setattr(heq.equations, "expand", counted)
+    contexts = [([h1, h2], ProjMat2(5, 3, 3, 2)), ([h1, h2], ProjMat2(1, 0, -2, 1))]
+    for _ in range(20):
+        contexts.append(([random_matrix(rng, 8) for _ in range(rng.randrange(1, 4))],
+                         random_matrix(rng, 8)))
+    for hs, g in contexts:
+        expanded.clear()
+        report = analyze(hs, g)
+        assert expanded == [*hs, g]
+        data = json.loads(json.dumps(report.to_dict()))
+        assert expanded == [*hs, g]
+        expanded.clear()
+        assert verify(AnalysisReport.from_dict(data)).ok
+        assert expanded == []
 
 
 def test_analyze_refuses_generator_value_over_budget():

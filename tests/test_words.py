@@ -3,13 +3,16 @@ import itertools
 import pytest
 
 from heq import words
-from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
+from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2, _trusted
 from heq.words import (
     abelianize,
     decompose,
     eval_ab,
+    expand,
     image_pair,
     invert_ab,
+    peel,
+    peel_image,
     quotient_order,
     reduce_ab,
 )
@@ -75,6 +78,105 @@ def test_decompose_round_trip(rng):
     for _ in range(200):
         word = reduce_ab(rng.choice(letters) for _ in range(rng.randrange(40)))
         assert decompose(eval_ab(word)) == word
+
+
+def decompose_reference(m):
+    """The normal form of m by peeling into a letter list and reducing it
+    with reduce_ab, as decompose did before the peel and the expansion were
+    split: a reference for peel + expand."""
+    factors = []  # ("T", n) or ("S", 0), left to right
+    cur = m
+    while cur.e21 != 0:
+        e11, e12, e21, e22 = cur
+        n = e11 // e21
+        if n:
+            factors.append(("T", n))
+        cur = _trusted(-e21, -e22, e11 - n * e21, e12 - n * e22)
+        factors.append(("S", 0))
+    if cur.e12 != 0:
+        factors.append(("T", cur.e12))
+    letters = []
+    for kind, n in factors:
+        if kind == "S":
+            letters.append("a")
+        elif n > 0:
+            letters.extend(["b", "a"] * n)
+        else:
+            letters.extend(["a", "b2"] * (-n))
+    word = reduce_ab(letters)
+    assert eval_ab(word) == m
+    return word
+
+
+_T = ProjMat2(1, 1, 0, 1)
+_U = ProjMat2(1, 0, 1, 1)
+
+
+def _power(m, n):
+    out = IDENTITY
+    for _ in range(abs(n)):
+        out = out * (m if n > 0 else m.inv())
+    return out
+
+
+def _check_against_reference(m):
+    exponents = peel(m)
+    ref = decompose_reference(m)
+    assert expand(m, exponents) == ref == decompose(m), m
+    assert peel_image(exponents) == abelianize(ref), m
+    return exponents
+
+
+def test_peel_and_expand_match_decompose_reference(rng):
+    # products of a, b, b^2, T^+-1, T^+-2 and U^+-2, drawn from HEQ_SEED
+    factors = [MAT_A, MAT_B, MAT_B * MAT_B] + [
+        _power(m, n) for m, n in ((_T, 1), (_T, -1), (_T, 2), (_T, -2), (_U, 2), (_U, -2))]
+    first_zero = last_zero = 0
+    for _ in range(1500):
+        m = IDENTITY
+        for _ in range(rng.randrange(25)):
+            m = m * rng.choice(factors)
+        exponents = _check_against_reference(m)
+        first_zero += len(exponents) > 1 and exponents[0] == 0
+        last_zero += len(exponents) > 1 and exponents[-1] == 0
+        # after the first round of the peel every inner exponent is <= -2
+        assert all(n <= -2 for n in exponents[1:-1]), exponents
+    assert first_zero > 50 and last_zero > 50
+    # the identity, a, b, b^2 and the parabolic matrices
+    assert peel(IDENTITY) == (0,) and decompose(IDENTITY) == ()
+    for m in (IDENTITY, MAT_A, MAT_B, MAT_B * MAT_B):
+        _check_against_reference(m)
+    for n in (1, 2, 3, 7, 50, 1000):
+        for m in (ProjMat2(1, n, 0, 1), ProjMat2(1, -n, 0, 1),
+                  ProjMat2(1, 0, n, 1), ProjMat2(1, 0, -n, 1)):
+            _check_against_reference(m)
+    # entries of 100 bits and more
+    big = 0
+    for _ in range(40):
+        m = IDENTITY
+        while max(map(abs, m)).bit_length() < 100 + rng.randrange(60):
+            m = m * rng.choice([_T, _U, _T.inv(), _U.inv(), MAT_A, MAT_B])
+        _check_against_reference(m)
+        big += max(map(abs, m)).bit_length() >= 100
+    assert big == 40
+
+
+def test_expand_matches_reference_on_any_exponents(rng):
+    # expand joins any exponent sequence, including inner zeros, which the
+    # peel never produces, so that every junction case is exercised
+    for _ in range(2000):
+        exponents = [rng.choice((0, 0, 1, -1, 2, -2, rng.randrange(-9, 10)))
+                     for _ in range(rng.randrange(1, 12))]
+        m = IDENTITY
+        letters = []
+        for i, n in enumerate(exponents):
+            if i:
+                m = m * MAT_A
+                letters.append("a")
+            m = m * _power(_T, n)
+            letters += ["b", "a"] * n if n > 0 else ["a", "b2"] * -n
+        assert expand(m, exponents) == reduce_ab(letters) == decompose(m), exponents
+        assert peel_image(exponents) == abelianize(reduce_ab(letters))
 
 
 def test_decompose_word_budget(monkeypatch):
