@@ -29,7 +29,6 @@ from .freewords import (
     matrix_to_free_word,
     parse_free_word,
     pq_to_matrix,
-    rewrite_kernel,
 )
 from .pipeline import (
     AnalysisReport,
@@ -55,7 +54,6 @@ from .words import (
     format_ab_word,
     image_pair,
     quotient_order,
-    reduce_ab,
 )
 
 __all__ = [
@@ -101,10 +99,8 @@ __all__ = [
     "parse_free_word",
     "pq_to_matrix",
     "quotient_order",
-    "reduce_ab",
     "reduce_equation",
     "render_equation",
-    "rewrite_kernel",
     "rewrite_values",
     "subgroup_generators",
     "subgroup_presentation",

@@ -266,37 +266,39 @@ def rewrite_values(words: Sequence[EqWord], ctx: HContext) -> tuple[FreeWord, ..
 
     Reidemeister-Schreier, letter by letter.  The piece of a signed letter
     read at state u of the Schreier graph of F is the walk of its a/b-word
-    from u (freewords.rewrite_from), whose matrix is
-    rep(u) let(g) rep(u + image let)^-1.  Along a word the pieces telescope
-    to w(g), and p, q freely generate F, so the freely reduced join is
-    rewrite_kernel(decompose(evaluate(w, ctx))), with no a/b-word of the
-    value ever built.  Pieces are built the first time a word needs them and
-    kept for the other words of this call only: one per state and signed
-    letter, at most 6 * 2(s+1), the edges of the Schreier graph in both
-    directions.  The letters' a/b-words come from ctx.ab_words, so in
-    analyze this is where the input matrices are expanded, once each.
+    from u (freewords.rewrite_from), whose matrix is rep(u) let(g) rep(t)^-1,
+    t being the state that walk ends at and the next letter's start.  Along
+    a word that ends at state 0 the pieces telescope to w(g), and p, q
+    freely generate F, so the freely reduced join is
+    freewords.matrix_to_free_word(evaluate(w, ctx)), with no a/b-word of
+    the value ever built.  Each (piece, end state) is built the first time a
+    word needs it and kept for the other words of this call only: one per
+    state and signed letter, at most 6 * 2(s+1), the edges of the Schreier
+    graph in both directions.  The letters' a/b-words come from
+    ctx.ab_words, so in analyze this is where the input matrices are
+    expanded, once each.
 
     Raises ValueError, before building any piece, when the letters' a/b-words
     of some word have more than WORD_BUDGET syllables in all, and
     NotInKernel when a word does not map to 0 in Z/6.
     """
-    ab_words, image = ctx.ab_words(), ctx._image
+    ab_words = ctx.ab_words()
     for word in words:
         length = sum(map(len, map(ab_words.__getitem__, word)))
         if length > WORD_BUDGET:
             raise ValueError(f"a word's value spans {length} a/b letters before "
                              f"reduction, more than the budget of {WORD_BUDGET}")
-    pieces: dict[tuple[int, int], FreeWord] = {}
+    steps: dict[tuple[int, int], tuple[FreeWord, int]] = {}
     values: list[FreeWord] = []
     for word in words:
         out: list[int] = []
         state = 0
         for let in word:
-            piece = pieces.get((state, let))
-            if piece is None:
-                piece = pieces[state, let] = rewrite_from(state, ab_words[let])
+            step = steps.get((state, let))
+            if step is None:
+                step = steps[state, let] = rewrite_from(state, ab_words[let])
+            piece, state = step
             out.extend(piece)
-            state = (state + image[let]) % QUOTIENT_ORDER
         if state:
             raise NotInKernel(f"word maps to {state} in Z/6, not 0")
         values.append(free_reduce(out))

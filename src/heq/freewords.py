@@ -15,11 +15,13 @@ any of that token's letters.
 The Reidemeister-Schreier rewriting of kernel elements into {p, q} walks the
 Schreier graph of F (the Cayley graph of Z/6, see words.abelianize) with the
 transversal {1, b, b^2, a, ab, ab^2} and emits one table entry per syllable
-crossed.  The table is derived at import time: each entry is the word among
-1, p^+-1, q^+-1 whose matrix is rep(u) s rep(us)^-1.  rewrite_from walks an
-a/b-word from any state; rewrite_kernel is its walk from state 0 for a
-kernel element, and equations.rewrite_values joins the walks of letters'
-a/b-words, so a generator value is never built as one a/b-word.
+crossed.  The table is derived at import time: each entry (u, s) holds the
+word among 1, p^+-1, q^+-1 whose matrix is rep(u) s rep(us)^-1, and the
+state us the step ends at, so the table is also the walk in Z/6.
+rewrite_from walks an a/b-word from any state and returns the rewritten
+word with the state the walk ends at.  equations.rewrite_values joins the
+walks of letters' a/b-words, so a generator value is never built as one
+a/b-word; matrix_to_free_word walks a matrix's normal form from state 0.
 """
 
 from __future__ import annotations
@@ -239,37 +241,31 @@ def _syllable_steps() -> dict[tuple[int, str], tuple[FreeWord, int]]:
 _SYLLABLE_STEP = _syllable_steps()
 
 
-def rewrite_from(state: int, word: ABWord) -> FreeWord:
+def rewrite_from(state: int, word: ABWord) -> tuple[FreeWord, int]:
     """The walk of an ABWord from a state of the Schreier graph of F.
 
-    Returns the freely reduced word in {p, q} whose matrix is
-    rep(u) eval_ab(word) rep(t)^-1, u being the state and t = u +
-    abelianize(word) the state the walk ends at.  Walks from state 0 to
-    state 0 rewrite kernel elements; walks from other states are the
-    pieces equations.rewrite_values joins.
+    Returns (piece, t): t = u + abelianize(word) is the state the walk ends
+    at, u being the start state, read off the rewriting table step by step,
+    and piece is the freely reduced word in {p, q} whose matrix is
+    rep(u) eval_ab(word) rep(t)^-1.  A walk from state 0 that ends at state
+    0 rewrites a kernel element; walks from other states are the pieces
+    equations.rewrite_values joins.
     """
     out: list[int] = []
     for syl in word:
         part, state = _SYLLABLE_STEP[state, syl]
         out.extend(part)
-    return free_reduce(out)
-
-
-def rewrite_kernel(word: ABWord) -> FreeWord:
-    """Rewrite a kernel element, given as an ABWord, as a free word in {p, q}.
-
-    Raises NotInKernel if the word does not abelianize to 0.  The result
-    is freely reduced and satisfies pq_to_matrix(result) = eval_ab(word).
-    """
-    if abelianize(word):
-        raise NotInKernel(f"word abelianizes to {abelianize(word)} in Z/6, not 0")
-    return rewrite_from(0, word)
+    return free_reduce(out), state
 
 
 def matrix_to_free_word(m: ProjMat2) -> FreeWord:
     """Rewrite a matrix known to lie in F; NotInKernel otherwise.
 
-    A public export: the pipeline rewrites generator values letter by letter
+    The result is freely reduced and pq_to_matrix(result) = m.  A public
+    export: the pipeline rewrites generator values letter by letter
     (equations.rewrite_values) instead, and the tests compare the two.
     """
-    return rewrite_kernel(decompose(m))
+    word, state = rewrite_from(0, decompose(m))
+    if state:
+        raise NotInKernel(f"matrix maps to {state} in Z/6, not 0")
+    return word

@@ -260,7 +260,8 @@ def verify(report: AnalysisReport) -> VerificationResult:
         rebuilt from the context;
     (g) the presentation has one generator per nontrivial generator and
         #nontrivial - rank relators (the rank is the report's own), and the
-        ideal words are its relators applied to the nontrivial generators.
+        ideal words are its relators applied to the nontrivial generators;
+        a relator letter that names no nontrivial generator fails (g).
 
     No relator is expanded through the v-words, which can take hundreds of
     millions of letters: (a), (c) and (g) imply that each relator kills
@@ -271,7 +272,8 @@ def verify(report: AnalysisReport) -> VerificationResult:
     empty word.
     """
     ctx = report.ctx
-    nontrivial = report.nontrivial_indices
+    pres = report.presentation
+    ws = [report.w_words[i] for i in report.nontrivial_indices]
     checks: list[tuple[str, bool, str]] = []
 
     bad = [i for i, w in enumerate(report.ideal_words)
@@ -281,13 +283,13 @@ def verify(report: AnalysisReport) -> VerificationResult:
                    else f"equations {bad} fail"))
 
     nv = len(report.v_words)
-    bad = [i for i, rel in enumerate(report.presentation.relators)
-           if any(not 1 <= abs(let) <= nv for let in rel)]
-    checks.append(("relators name only v-words", not bad,
-                   f"{len(report.presentation.relators)} relators" if not bad
-                   else f"relators {bad} fail"))
+    unnamed = [i for i, rel in enumerate(pres.relators)
+               if any(not 1 <= abs(let) <= nv for let in rel)]
+    checks.append(("relators name only v-words", not unnamed,
+                   f"{len(pres.relators)} relators" if not unnamed
+                   else f"relators {unnamed} fail"))
 
-    values = [evaluate(report.w_words[i], ctx) for i in nontrivial]
+    values = [evaluate(w, ctx) for w in ws]
     ok = (len(values) == len(report.v_words)
           and all(pq_to_matrix(v) == m for v, m in zip(report.v_words, values)))
     checks.append(("v-words match evaluated generators", ok,
@@ -310,14 +312,14 @@ def verify(report: AnalysisReport) -> VerificationResult:
                    report.w_words == subgroup_generators(graph),
                    f"{len(report.w_words)} generators"))
 
-    pres = report.presentation
-    ws = [report.w_words[i] for i in nontrivial]
     fits = pres.generator_count == len(ws)
     checks.append(("relator count is #nontrivial - rank",
                    fits and len(pres.relators) == len(ws) - pres.rank,
                    f"{len(pres.relators)} relators on {pres.generator_count} "
                    f"generators, {len(ws)} nontrivial, rank {pres.rank}"))
-    ok = fits and report.ideal_words == tuple(substitute(r, ws) for r in pres.relators)
+    # substitute takes only relator letters in 1..len(ws), and (b) checked 1..nv
+    ok = (fits and not unnamed and nv == len(ws)
+          and report.ideal_words == tuple(substitute(r, ws) for r in pres.relators))
     checks.append(("ideal words are the substituted relators", ok,
                    f"{len(report.ideal_words)} ideal words"))
 

@@ -56,56 +56,8 @@ def image_pair(image: int) -> tuple[int, int]:
     return image % 2, image % 3
 
 
-_LETTER_TO_SYLLABLE = {
-    "a": "a",
-    "a^-1": "a",
-    "b": "b",
-    "b^-1": "b2",
-    "b2": "b2",
-    "b^2": "b2",
-}
-
-
 # the b-syllable that two merged b-syllables leave, None for b^3 = 1
 _B_MERGED = {("b", "b"): "b2", ("b", "b2"): None, ("b2", "b"): None, ("b2", "b2"): "b"}
-
-
-def reduce_ab(letters: Iterable[str]) -> ABWord:
-    """Normal form of a product of generator letters.
-
-    Accepts the letters a, a^-1, b, b^-1 (and the aliases b2, b^2 for b^-1);
-    uses a^-1 = a and b^-1 = b^2.  One pass over a stack of syllables,
-    its top kept in a local: a syllable from the other factor than the
-    top's is pushed, a onto a cancels it, and b or b2 onto b or b2 merges
-    with it.  Any other letter raises ValueError.
-    """
-    stack: list[str] = []
-    top = ""  # stack[-1], or "" for an empty stack
-    for letter in letters:
-        try:
-            syl = _LETTER_TO_SYLLABLE[letter]
-        except KeyError:
-            raise ValueError(f"unknown letter {letter!r}") from None
-        if syl == "a":
-            if top == "a":
-                stack.pop()
-                top = stack[-1] if stack else ""
-            else:
-                stack.append(syl)
-                top = syl
-        elif top == "a" or not top:
-            stack.append(syl)
-            top = syl
-        else:
-            # the syllable below a b-syllable is "a" or nothing, so the
-            # merged syllable stays
-            merged = _B_MERGED[top, syl]
-            if merged:
-                stack[-1] = top = merged
-            else:
-                stack.pop()
-                top = stack[-1] if stack else ""
-    return tuple(stack)
 
 
 _AB_INVERSE = {"a": "a", "b": "b2", "b2": "b"}

@@ -9,7 +9,7 @@ import pytest
 import heq
 from heq.psl2 import MAT_A, MAT_B, ProjMat2
 from heq.equations import HContext
-from heq.words import invert_ab, reduce_ab
+from heq.words import invert_ab
 
 # Fixed seed for the randomized property suites; override with HEQ_SEED.
 SEED = int(os.environ.get("HEQ_SEED", "20250810"))
@@ -57,12 +57,64 @@ def check_syllable_steps() -> int:
     return len(_SYLLABLE_STEP)
 
 
+_LETTER_TO_SYLLABLE = {
+    "a": "a",
+    "a^-1": "a",
+    "b": "b",
+    "b^-1": "b2",
+    "b2": "b2",
+    "b^2": "b2",
+}
+
+# the b-syllable that two merged b-syllables leave, None for b^3 = 1
+_B_MERGED = {("b", "b"): "b2", ("b", "b2"): None, ("b2", "b"): None, ("b2", "b2"): "b"}
+
+
+def reduce_ab_reference(letters) -> tuple[str, ...]:
+    """Normal form of a product of generator letters, by a stack of
+    syllables: the reference words.expand and the rewriting are checked
+    against.
+
+    Accepts the letters a, a^-1, b, b^-1 (and the aliases b2, b^2 for b^-1);
+    uses a^-1 = a and b^-1 = b^2.  A syllable from the other factor than the
+    top's is pushed, a onto a cancels it, and b or b2 onto b or b2 merges
+    with it.  Any other letter raises ValueError.
+    """
+    stack: list[str] = []
+    top = ""  # stack[-1], or "" for an empty stack
+    for letter in letters:
+        try:
+            syl = _LETTER_TO_SYLLABLE[letter]
+        except KeyError:
+            raise ValueError(f"unknown letter {letter!r}") from None
+        if syl == "a":
+            if top == "a":
+                stack.pop()
+                top = stack[-1] if stack else ""
+            else:
+                stack.append(syl)
+                top = syl
+        elif top == "a" or not top:
+            stack.append(syl)
+            top = syl
+        else:
+            # the syllable below a b-syllable is "a" or nothing, so the
+            # merged syllable stays
+            merged = _B_MERGED[top, syl]
+            if merged:
+                stack[-1] = top = merged
+            else:
+                stack.pop()
+                top = stack[-1] if stack else ""
+    return tuple(stack)
+
+
 def letters_ab_word(word, ctx: HContext) -> tuple[str, ...]:
     """The a/b normal form of the value w(g), reduced from the letters'
     a/b-words written one after another: the route equations.rewrite_values
     replaced, kept as a reference for it."""
     words = ctx.h_words + (ctx.g_word,)
-    return reduce_ab(chain.from_iterable(
+    return reduce_ab_reference(chain.from_iterable(
         words[let - 1] if let > 0 else invert_ab(words[-let - 1]) for let in word))
 
 

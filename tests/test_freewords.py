@@ -1,8 +1,8 @@
 import pytest
 
 import heq.freewords
-from heq.psl2 import IDENTITY, ProjMat2
-from heq.words import WORD_BUDGET, abelianize, eval_ab, reduce_ab
+from heq.psl2 import IDENTITY, MAT_A, ProjMat2
+from heq.words import WORD_BUDGET, abelianize, eval_ab, invert_ab
 from heq.freewords import (
     NotInKernel,
     PQ_NAMES,
@@ -16,10 +16,10 @@ from heq.freewords import (
     parse_free_word,
     parse_word,
     pq_to_matrix,
-    rewrite_kernel,
+    rewrite_from,
 )
 
-from conftest import check_syllable_steps, run_python
+from conftest import check_syllable_steps, reduce_ab_reference, run_python
 
 
 def test_free_reduce_examples():
@@ -76,7 +76,7 @@ def test_gamma_table_against_transversal():
 
 
 def test_rewrite_kernel_examples():
-    assert rewrite_kernel(("b", "a", "b2", "a")) == parse_free_word("q")
+    assert rewrite_from(0, ("b", "a", "b2", "a")) == (parse_free_word("q"), 0)
     h2 = ProjMat2(2, -5, 1, -2)
     v5 = h2 * ProjMat2(5, 3, 3, 2) * h2.inv()
     assert matrix_to_free_word(v5) == parse_free_word("q p q^-2 p^-1 q^-1")
@@ -86,20 +86,43 @@ def test_rewrite_kernel_examples():
 
 
 def test_rewrite_kernel_rejects_nonkernel():
+    # the walk of a from state 0 ends at state 3, so a is no kernel element
+    assert rewrite_from(0, ("a",))[1] == 3
     with pytest.raises(NotInKernel):
-        rewrite_kernel(("a",))
+        matrix_to_free_word(MAT_A)
 
 
 def test_rewrite_kernel_round_trip(rng):
-    # 200 random kernel words: the rewriting must evaluate back to the input
+    # 200 random kernel words: the walk from state 0 ends at state 0 and
+    # its rewriting must evaluate back to the input
     letters = ["a", "b", "b^-1"]
     done = 0
     while done < 200:
-        word = reduce_ab(rng.choice(letters) for _ in range(rng.randrange(1, 30)))
+        word = reduce_ab_reference(rng.choice(letters) for _ in range(rng.randrange(1, 30)))
         if abelianize(word):
             continue
-        assert pq_to_matrix(rewrite_kernel(word)) == eval_ab(word)
+        free, end = rewrite_from(0, word)
+        assert end == 0
+        assert pq_to_matrix(free) == eval_ab(word)
         done += 1
+
+
+# the transversal of F, written out by image in Z/6 (a -> 3, b -> 4)
+_REPS = {0: (), 4: ("b",), 2: ("b2",), 3: ("a",), 1: ("a", "b"), 5: ("a", "b2")}
+
+
+def test_rewrite_from_end_state_and_piece(rng):
+    # from any state u, the walk of an a/b-word w, normal or not, ends at
+    # u + abelianize(w), and its piece is freely reduced with matrix
+    # rep(u) w rep(end)^-1
+    syllables = ["a", "b", "b2"]
+    for _ in range(600):
+        u = rng.randrange(6)
+        word = tuple(rng.choice(syllables) for _ in range(rng.randrange(25)))
+        piece, end = rewrite_from(u, word)
+        assert end == (u + abelianize(word)) % 6
+        assert piece == free_reduce(piece)
+        assert pq_to_matrix(piece) == eval_ab(_REPS[u] + word + invert_ab(_REPS[end]))
 
 
 def drawn_reduced_word(rng, length):

@@ -14,7 +14,7 @@ import heq.pipeline
 import heq.stallings
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
 from heq.equations import evaluate, parse_eq_word, reduce_equation
-from heq.freewords import matrix_to_free_word, rewrite_kernel
+from heq.freewords import matrix_to_free_word, rewrite_from
 from heq.freewords import parse_free_word as pw
 from heq.pipeline import (
     AnalysisReport,
@@ -237,6 +237,22 @@ def test_verify_detects_corrupt_v_word(h1, h2):
     assert not result.ok
 
 
+def test_verify_fails_a_relator_naming_no_generator(h1, h2):
+    # a relator letter outside x1..xn, n the nontrivial generators, fails
+    # the substitution check (g) instead of raising from substitute
+    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+    pres = report.presentation
+    assert len(report.v_words) == pres.generator_count == 12
+    beyond = replace(pres, relators=((99,),) + pres.relators[1:])
+    extra = replace(pres, relators=pres.relators + ((13,),))
+    for tampered in (replace(report, presentation=beyond),
+                     replace(report, v_words=report.v_words + (pw("p"),), presentation=extra)):
+        result = verify(tampered)
+        assert not result.ok
+        failed = {name for name, passed, _ in result.checks if not passed}
+        assert "ideal words are the substituted relators" in failed
+
+
 def test_master_invariant_random(rng):
     # every ideal generator evaluates to the identity, whatever the inputs
     for _ in range(10):
@@ -278,7 +294,7 @@ def test_symbolic_values_match_matrix_route(h1, h2, rng):
         values = [report.w_words[i] for i in report.nontrivial_indices]
         assert len(values) == len(report.v_words)
         for w, v in zip(values, report.v_words):
-            assert rewrite_kernel(letters_ab_word(w, ctx)) == v
+            assert rewrite_from(0, letters_ab_word(w, ctx)) == (v, 0)
             assert matrix_to_free_word(evaluate(w, ctx)) == v
             checked += 1
     assert checked > 200
@@ -303,26 +319,6 @@ def test_analyze_decomposes_only_the_inputs(h1, h2, monkeypatch):
     assert len(report.v_words) == 12
     assert calls == [("peel", h1), ("peel", h2), ("peel", g),
                      ("expand", h1), ("expand", h2), ("expand", g)]
-
-
-def test_analyze_reduces_ab_words_only_for_the_inputs(h1, h2, monkeypatch):
-    # reduce_ab never runs: the inputs' words are expanded from their peels
-    # chunk by chunk, and values are rewritten letter by letter
-    reduce_ab = heq.words.reduce_ab
-    reduced = []
-
-    def counted(letters):
-        word = reduce_ab(letters)
-        reduced.append(word)
-        return word
-
-    for module in (heq.words, heq.equations, heq.freewords, heq.pipeline, heq.stallings):
-        if getattr(module, "reduce_ab", None) is reduce_ab:
-            monkeypatch.setattr(module, "reduce_ab", counted)
-    report = analyze([h1, h2], ProjMat2(1, 0, -2, 1))
-    assert len(report.v_words) == 12
-    assert report.ctx.h_words and report.ctx.g_word
-    assert reduced == []
 
 
 def test_words_are_expanded_only_when_read(h1, h2, rng, monkeypatch):
