@@ -20,7 +20,12 @@ The search is a meet-in-the-middle join (Schroeppel-Shamir, SIAM J. Comput.
 * The join: v^-1 runs over the same layer as v, so u v is a candidate
   exactly when u and a word t = v^-1 of length floor(l/2) share a key and
   end in different letters; the join yields the pair (u, t) of the
-  candidate u t^-1.
+  candidate u t^-1, all the pairs of one u in a run.  The search reads u's
+  record once per run, and builds t^-1 once per word t, the first time a
+  witness needs it.
+* The order: each witness goes to the list for its length, and each list
+  is sorted on its own.  Words of one length compare as tuples exactly as
+  they do under the (length, word) key, so no key is built.
 
 No pruning by the image in Z/6 = C2 x C3 is needed: the map to Z/6 is a
 homomorphism of PSL2(Z), so every word of value +-I has image 0, and the
@@ -29,9 +34,10 @@ would only skip words that can never be candidates.
 
 Memory is the ball, the witnesses and one record per ball word that some
 candidate has as a half; candidates stream into the re-check and are not
-kept.  The ball holds sum_{r <= R} n (n-1)^(r-1) words, n = 2(s+1).
-enumerate_kernel computes that number before building anything and raises
-ValueError above BALL_BUDGET.  With entries of a machine word or two a word
+kept, and the sort builds no key per witness.  The ball holds
+sum_{r <= R} n (n-1)^(r-1) words, n = 2(s+1).  enumerate_kernel computes
+that number before building anything and raises ValueError above
+BALL_BUDGET.  With entries of a machine word or two a word
 costs up to about 420 bytes (on Python 3.11, 586k words with 542k distinct
 values peaked at 261 MB), so a ball within the budget stays under about
 256 MB; much larger entries cost more per word.  A record holds the word's
@@ -39,11 +45,12 @@ value, image, x-exponent sum and whether it contains x: about 260 bytes
 with such entries (Python 3.11, the 117,187 words of the ball below).  Once
 a balanced candidate with x asks for it, the record also holds the word's
 normal form, kept as its signs and coefficient matrices only, not as an
-HEquation with provenance words.  Records come on top of the ball, at most
-one per ball word, so a search in which every ball word is a half would add
-about 130 MB at the budget.  The second worked example at length 14, the
-largest search the budget allows with two h's, keeps 67,616 records, 60,757
-of them with a form, and peaked at 128 MB on Python 3.11.
+HEquation with provenance words, and once a witness has the word as its t,
+the word's inverse.  Records come on top of the ball, at most one per ball
+word, so a search in which every ball word is a half would add about
+130 MB at the budget.  The second worked example at length 14, the largest
+search the budget allows with two h's, keeps 67,616 records, 60,757 of them
+with a form, and peaked at 121 MB on Python 3.11.
 
 The re-check goes through the equation layer, not the ball's arithmetic.
 evaluate and word_image are homomorphisms, so a candidate u t^-1 has value
@@ -93,6 +100,7 @@ class _Half:
     sigma: int  # x-exponent sum
     has_x: bool
     form: tuple | None = None  # signs and coefficient matrices, once reduced
+    inverse: EqWord | None = None  # once a witness has the word as its t
 
 
 def _ball_size(nsigned: int, radius: int) -> int:
@@ -162,9 +170,10 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
     Then a word whose x-exponent sum is nonzero is a witness without
     reduction, a word without x is not one, and a balanced word with x is
     one when the normal forms of u and t differ.  Only witnesses are built
-    as whole words.
+    as whole words, u joined to t^-1, each t inverted once per search.
     Witnesses come out as raw EqWords sorted by (length, word), letters
-    compared as signed integers.
+    compared as signed integers; they are sorted per length, so the
+    result does not depend on the order of the candidates.
     Raises ValueError when max_len < 1, or when the ball of words of length
     up to ceil(max_len/2) would hold more than BALL_BUDGET words.
     """
@@ -192,10 +201,15 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
             rec.form = (eq.signs, eq.coefficient_matrices())
         return rec
 
-    witnesses: list[EqWord] = []
-    for u, t in _candidates(ctx, max_len):
-        # most halves are recorded already, so the memo is read before the call
-        ru, rt = records.get(u) or record(u), records.get(t) or record(t)
+    # _candidates yields each u's pairs in a run, so u's record is read once
+    # per run; witnesses go to one list per length, where a plain sort is
+    # the (length, word) order
+    by_length: list[list[EqWord]] = [[] for _ in range(max_len + 1)]
+    u = None
+    for half, t in _candidates(ctx, max_len):
+        if half is not u:
+            u, ru = half, record(half)
+        rt = records.get(t) or record(t)
         # evaluate and word_image are homomorphisms: u t^-1 has value I and
         # image 0 exactly when u and t agree in both
         if ru.value != rt.value or ru.image != rt.image:
@@ -204,8 +218,14 @@ def enumerate_kernel(ctx: HContext, max_len: int) -> EnumerationResult:
         if ru.sigma != rt.sigma or ((ru.has_x or rt.has_x)
                                     and (ru.form or record(u, True).form)
                                     != (rt.form or record(t, True).form)):
-            witnesses.append(u + invert_word(t))
-    witnesses.sort(key=lambda w: (len(w), w))
+            t_inv = rt.inverse
+            if t_inv is None:
+                t_inv = rt.inverse = invert_word(t)
+            by_length[len(u) + len(t)].append(u + t_inv)
+    witnesses: list[EqWord] = []
+    for same_length in by_length:
+        same_length.sort()
+        witnesses += same_length
     return EnumerationResult(tuple(witnesses))
 
 

@@ -50,6 +50,7 @@ from .equations import (
 from .equations import reduce_equation  # noqa: F401  perfbench traces it by this name
 from .freewords import (
     FreeWord,
+    NotInKernel,
     format_free_word,
     parse_free_word,
     parse_word,
@@ -203,10 +204,12 @@ def analyze(h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> AnalysisReport:
 
     nontrivial = _nontrivial(w_words, ctx)
     values = [w_words[i] for i in nontrivial]
-    for w in values:
-        if ctx.word_image(w):
-            raise RuntimeError("generator value does not lie in the kernel F")
-    v_words = rewrite_values(values, ctx)
+    try:
+        v_words = rewrite_values(values, ctx)
+    except NotInKernel as exc:
+        # the generators come from the graph of F, so this is a fault here,
+        # not an input error
+        raise RuntimeError("generator value does not lie in the kernel F") from exc
     for w, free in zip(values, v_words):
         if pq_to_matrix(free) != evaluate(w, ctx):
             raise RuntimeError("kernel rewriting disagrees with evaluation")

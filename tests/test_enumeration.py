@@ -227,6 +227,33 @@ def test_recheck_raises_on_a_non_witness(ctx_44, monkeypatch):
         enumerate_kernel(ctx_44, 6)
 
 
+def test_recheck_raises_on_a_bad_pair_after_a_good_one_with_the_same_u(ctx_44, monkeypatch):
+    # u's record is read once per run of pairs, but every pair is still
+    # compared: a good pair (u, t), then (u, ()) of value u != I
+    def faulty(ctx, max_len):
+        for u, t in _candidates(ctx, max_len):
+            yield u, t
+            if evaluate(u, ctx) != IDENTITY:
+                yield u, ()
+                return
+
+    monkeypatch.setattr(heq.enumeration, "_candidates", faulty)
+    with pytest.raises(RuntimeError, match="non-witness"):
+        enumerate_kernel(ctx_44, 6)
+
+
+def test_witnesses_do_not_depend_on_candidate_order(ctx_44, rng, monkeypatch):
+    # witnesses are gathered per length and sorted there: the candidates
+    # in reverse order give the same tuple
+    contexts = [(ctx_44, 8), (_t2_u2_context(), 6)] + _seeded_contexts(rng)[:8]
+    expected = [enumerate_kernel(ctx, max_len).witnesses for ctx, max_len in contexts]
+    assert sum(map(len, expected)) > 1_000
+    monkeypatch.setattr(heq.enumeration, "_candidates",
+                        lambda ctx, max_len: reversed(list(_candidates(ctx, max_len))))
+    for (ctx, max_len), witnesses in zip(contexts, expected):
+        assert enumerate_kernel(ctx, max_len).witnesses == witnesses
+
+
 def test_longer_search_is_superset(ctx_44):
     small = set(enumerate_kernel(ctx_44, 6).witnesses)
     large = set(enumerate_kernel(ctx_44, 7).witnesses)

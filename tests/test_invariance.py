@@ -11,15 +11,22 @@ verdict unchanged:
   automorphism x -> x^-1 of H*<x>, so the Schreier graph is that of the
   inverse images, V is unchanged, and so is whether the kernel is trivial.
 
+The same moves act on the oracle's witnesses.  Conjugation maps H*<x>
+isomorphically onto its conjugate and fixes every word, so the witnesses
+stay as they are; g -> g^-1 maps them by the letter map x -> x^-1.
+
 The contexts are drawn from HEQ_SEED: small random ones, the worked
 examples, and one parabolic pair [[1,k],[0,1]], [[1,n],[0,1]] with n near
-200, whose ideal words run to thousands of letters.
+200, whose ideal words run to thousands of letters.  The oracle runs on the
+worked examples and the first 40 random ones.
 """
 
 import random
 
 import pytest
 
+from heq.enumeration import enumerate_kernel
+from heq.equations import HContext
 from heq.pipeline import analyze
 from heq.psl2 import ProjMat2
 
@@ -64,3 +71,27 @@ def test_move_keeps_index_rank_and_verdict(move):
         verdicts.add(base[2])
     # both verdicts occur, so a move that flips every verdict is caught
     assert len(verdicts) == 2
+
+
+def oracle_witnesses(hs, g):
+    return enumerate_kernel(HContext.from_matrices(hs, g), 6).witnesses
+
+
+def x_inverted(witnesses, x):
+    """The witnesses under x -> x^-1, back in (length, word) order."""
+    mapped = (tuple(-let if abs(let) == x else let for let in w) for w in witnesses)
+    return tuple(sorted(mapped, key=lambda w: (len(w), w)))
+
+
+@pytest.mark.parametrize("move", [conjugated, inverted])
+def test_move_keeps_oracle_witnesses(move):
+    with_witnesses = 0
+    for hs, g in drawn_contexts()[:42]:
+        base = oracle_witnesses(hs, g)
+        moved = oracle_witnesses(*move(hs, g))
+        if move is inverted:
+            moved = x_inverted(moved, len(hs) + 1)
+        assert moved == base, (hs, g)
+        with_witnesses += bool(base)
+    # most drawn contexts have witnesses at length 6, so the move is tested
+    assert with_witnesses >= 20

@@ -392,3 +392,25 @@ def test_analyze_catches_a_relator_that_does_not_kill_the_v_words(h1, h2, monkey
     monkeypatch.setattr(heq.stallings, "fold_generators", forged)
     with pytest.raises(RuntimeError, match="ideal generator does not evaluate"):
         analyze([h1, h2], ProjMat2(1, 0, -2, 1))
+
+
+def test_analyze_faults_on_a_generator_value_outside_the_kernel(h1, h2, monkeypatch):
+    # one nontrivial generator swapped for a word that does not map to 0 in
+    # Z/6, the count kept: a fault of the pipeline, so RuntimeError, not the
+    # NotInKernel (a ValueError, exit 2 in the CLI) the rewriting raises
+    subgroup_generators = heq.pipeline.subgroup_generators
+    g = ProjMat2(1, 0, -2, 1)
+    ctx = heq.equations.HContext.from_matrices([h1, h2], g)
+    x = ctx.x_letter
+    outside = next(w for w in ((x,), (1, x), (2, x), (1, 2, x))
+                   if ctx.word_image(w) and not ctx.is_trivial(w))
+
+    def forged(graph):
+        words = list(subgroup_generators(graph))
+        first = next(i for i, w in enumerate(words) if not ctx.is_trivial(w))
+        words[first] = outside
+        return tuple(words)
+
+    monkeypatch.setattr(heq.pipeline, "subgroup_generators", forged)
+    with pytest.raises(RuntimeError, match="does not lie in the kernel F"):
+        analyze([h1, h2], g)
