@@ -135,8 +135,11 @@ def cmd_oracle(args) -> int:
     h_mats, g_mat = _split_inputs(args.matrices)
     ctx = HContext.from_matrices(h_mats, g_mat)
     result = enumerate_kernel(ctx, args.max_len)
-    for word in result.witnesses:
-        print(json.dumps({"word": format_eq_word(word, ctx), "length": len(word)}))
+    # one JSON object a line, as json.dumps would write it: the letter
+    # names h1..hs and x and the ^, - and digits of powers need no escaping
+    sys.stdout.write("".join(
+        f'{{"word": "{format_eq_word(word, ctx)}", "length": {len(word)}}}\n'
+        for word in result.witnesses))
     print(f"{len(result.witnesses)} witness(es) up to length {args.max_len}",
           file=sys.stderr)
     return 0

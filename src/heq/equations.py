@@ -10,7 +10,10 @@ have torsion, so a nonempty coefficient word can still be trivial in H.
 
 Word values are multiplied out by psl2._product over the context's table
 of letter entry 4-tuples: a word is a product of determinant-1 matrices, so
-its value needs no determinant check, only one sign normalization.
+its value needs no determinant check, only one sign normalization.  A long
+word whose x letters cut it into long segments, as the ideal words of
+commuting inputs are, is multiplied one distinct segment at a time
+(evaluate, _segments).
 """
 
 from __future__ import annotations
@@ -206,38 +209,23 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     the current one.  A coefficient's provenance is the slice of the word it
     spans, less the x letters cancelled inside it.
 
-    In a word with two or more x's, each segment, the letters between two
-    x's, is multiplied out once per call: a repeated one, as in the long
-    ideal words of commuting inputs, reuses its product from a dict local to
-    the call.  The memo holds segment products only; a merge multiplies the
-    carried coefficient onto the segment's product afterwards, so it never
-    enters the memo.  A word with at most one x, as most of the oracle's
-    halves are, has at most two segments and makes no memo.
+    The cuts and the segment products come from _segments, the same helper
+    evaluate's segment path uses: a word with two or more x's multiplies
+    each distinct segment once per call.  A merge multiplies the carried
+    coefficient onto the segment's product afterwards, so a merged product
+    never stands in for a segment's.
     """
     word = tuple(word)
     x = ctx.x_letter
-    entry = ctx._entries.__getitem__
     coeffs: list[tuple[ProjMat2, Word]] = []
     signs: list[int] = []
     starts: list[int] = []  # where each coefficient in coeffs begins in word
     carry: ProjMat2 | None = None  # a merged coefficient's matrix so far
-    start = seg = 0  # the current coefficient and its last segment begin here
-    cuts = [i for i, let in enumerate(word) if let == x or let == -x]
-    cuts.append(len(word))
-    # segment -> its product, made only for a word of three or more segments
-    products: dict[Word, ProjMat2] | None = {} if len(cuts) > 2 else None
-    for end in cuts:
-        part = word[seg:end]
-        if products is None:
-            cur = _product(map(entry, part))
-        else:
-            cur = products.get(part)
-            if cur is None:
-                cur = products[part] = _product(map(entry, part))
+    start = 0  # the current coefficient begins here
+    cuts, products = _segments(word, x, ctx._entries.__getitem__)
+    for end, cur in zip(cuts, products):
         if carry is not None:
             cur = carry * cur
-        if end == len(word):
-            break
         sign = 1 if word[end] > 0 else -1
         if signs and signs[-1] == -sign and cur == IDENTITY:
             signs.pop()
@@ -248,9 +236,57 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
             starts.append(start)
             signs.append(sign)
             carry, start = None, end + 1
-        seg = end + 1
+    cur = products[-1]
+    if carry is not None:
+        cur = carry * cur
     coeffs.append((cur, _provenance(word[start:], x)))
     return HEquation(coeffs, signs)
+
+
+def _segments(word: Word, x: int, entry) -> tuple[list[int], list[ProjMat2]]:
+    """(cuts, products): the positions of x and -x in word, in order, and
+    the products of the len(cuts) + 1 segments they cut it into, the
+    letters before the first x, between two x's and after the last.
+
+    tuple.count and tuple.index find the cuts, so finding them costs Python
+    work per x, not per letter.  A word with two or more x's multiplies
+    each distinct segment once, keeping the products in a dict local to the
+    call: the ideal words of commuting inputs repeat one segment dozens of
+    times.  A word with at most one x, as most of the oracle's halves are,
+    makes no dict.
+    """
+    ups, downs = word.count(x), word.count(-x)
+    if ups + downs < 2:
+        if not ups + downs:
+            return [], [_product(map(entry, word))]
+        cut = word.index(x if ups else -x)
+        return [cut], [_product(map(entry, word[:cut])),
+                       _product(map(entry, word[cut + 1:]))]
+    n = len(word)
+    index = word.index
+    up = index(x) if ups else n
+    down = index(-x) if downs else n
+    cuts: list[int] = []
+    for _ in range(ups + downs):
+        if up < down:
+            cuts.append(up)
+            ups -= 1
+            up = index(x, up + 1) if ups else n
+        else:
+            cuts.append(down)
+            downs -= 1
+            down = index(-x, down + 1) if downs else n
+    memo: dict[Word, ProjMat2] = {}
+    products: list[ProjMat2] = []
+    seg = 0
+    for end in (*cuts, n):
+        part = word[seg:end]
+        cur = memo.get(part)
+        if cur is None:
+            cur = memo[part] = _product(map(entry, part))
+        products.append(cur)
+        seg = end + 1
+    return cuts, products
 
 
 def _provenance(part: EqWord, x: int) -> Word:
@@ -305,16 +341,46 @@ def rewrite_values(words: Sequence[EqWord], ctx: HContext) -> tuple[FreeWord, ..
     return tuple(values)
 
 
+# evaluate goes segment by segment through a word of at least this many
+# letters with two or more x's and segments of SEGMENT_MEAN letters or more
+# on average; any other word is multiplied out letter by letter
+SEGMENT_MIN_LETTERS = 64
+SEGMENT_MEAN = 8
+
+
 def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
-    """The matrix w(g): image under the evaluation homomorphism x -> g."""
+    """The matrix w(g): image under the evaluation homomorphism x -> g.
+
+    A word of at least SEGMENT_MIN_LETTERS letters whose x's, two or more,
+    cut it into segments of SEGMENT_MEAN letters or more on average, as the
+    ideal words of commuting inputs are, is multiplied segment by segment:
+    _segments multiplies each distinct segment once, and the segment
+    products go to _product with g^+-1 in between, in order.  The value is
+    the same product of the same letter matrices, bracketed differently and
+    normalized once at the end, so it is exactly the letterwise value.  Any
+    other word goes to _product letter by letter in one pass; the choice
+    costs a length test, and for a long word two tuple.count calls.
+    """
+    entry = ctx._entries.__getitem__
     if isinstance(w, HEquation):
         x = ctx.x_letter
-        g_entries = {1: ctx._entries[x], -1: ctx._entries[-x]}
+        g_entries = {1: entry(x), -1: entry(-x)}
         factors = [w.coeffs[0][0]]
         for sign, (mat, _) in zip(w.signs, w.coeffs[1:]):
             factors += (g_entries[sign], mat)
         return _product(factors)
-    return _product(map(ctx._entries.__getitem__, w))
+    n = len(w)
+    if n >= SEGMENT_MIN_LETTERS:
+        word = tuple(w)
+        x = ctx.x_letter
+        xs = word.count(x) + word.count(-x)
+        if xs >= 2 and n >= SEGMENT_MEAN * (xs + 1):
+            cuts, products = _segments(word, x, entry)
+            factors = [products[0]]
+            for end, cur in zip(cuts, products[1:]):
+                factors += (entry(word[end]), cur)
+            return _product(factors)
+    return _product(map(entry, w))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ a/b-word; matrix_to_free_word walks a matrix's normal form from state 0.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import neg
-from typing import Iterable, Sequence
+from itertools import compress, islice
+from operator import ne, neg
+from typing import Iterable, Iterator, Sequence
 
 from .psl2 import MAT_P, MAT_Q, ProjMat2, _block_product, _block_table
 from .words import (QUOTIENT_ORDER, SYLLABLE_IMAGE, WORD_BUDGET, ABWord, abelianize, decompose,
@@ -82,8 +83,33 @@ def invert_word(word: Word) -> Word:
     return tuple(map(neg, reversed(word)))
 
 
+# substitute goes run by run through a relator of at least this many
+# letters with at most three runs of equal letters for every four letters
+RUN_MIN_LETTERS = 16
+
+
 def substitute(relator: Word, ws: Sequence[Word]) -> Word:
-    """Replace each abstract letter x_i of the relator by ws[i-1], freely reduced."""
+    """Replace each abstract letter x_i of the relator by ws[i-1], freely reduced.
+
+    A relator of at least RUN_MIN_LETTERS letters with at most three runs
+    for every four letters, as the relators of commuting inputs are, goes
+    run by run.  A run x_i^m becomes the power w^m of w, the free reduction
+    of ws[i-1] (inverted for -i), built by tuple repetition as c z^m c^-1,
+    where w = c z c^-1 with z cyclically reduced (Lyndon-Schupp, Ch. IV):
+    that word is freely reduced.  join_reduced joins the powers, cancelling
+    only at their junctions.  Free reduction is confluent, so the result is
+    the free reduction of the letterwise substitution, letter for letter.
+    Any other relator is written out letter by letter and freely reduced in
+    one pass; finding a long relator's runs is one C-level comparison of
+    neighbours.  On either path a letter outside 1..len(ws) raises
+    IndexError when it is reached, and no earlier.
+    """
+    n = len(relator)
+    if n >= RUN_MIN_LETTERS:
+        # the index of each letter that differs from the one before it
+        starts = [0, *compress(range(1, n), map(ne, relator, islice(relator, 1, None)))]
+        if 4 * len(starts) <= 3 * n:
+            return join_reduced(_run_powers(relator, ws, starts))
     out: list[int] = []
     inverses: dict[int, Word] = {}  # each ws[i] is inverted at most once
     for let in relator:
@@ -96,6 +122,31 @@ def substitute(relator: Word, ws: Sequence[Word]) -> Word:
                 inverses[let] = invert_word(ws[-let - 1])
             out.extend(inverses[let])
     return free_reduce(out)
+
+
+def _run_powers(relator: Word, ws: Sequence[Word], starts: list[int]) -> Iterator[Word]:
+    """The freely reduced power of the substituted word for each run of the
+    relator, the runs beginning at starts."""
+    splits: dict[int, tuple[Word, Word, Word, Word]] = {}  # letter -> (w, c, z, c^-1)
+    for start, end in zip(starts, [*starts[1:], len(relator)]):
+        let = relator[start]
+        split = splits.get(let)
+        if split is None:
+            if not 1 <= abs(let) <= len(ws):
+                raise IndexError(f"relator letter {let} outside 1..{len(ws)}")
+            word = free_reduce(ws[let - 1] if let > 0 else invert_word(ws[-let - 1]))
+            split = splits[let] = (word, *_cyclic_split(word))
+        word, c, z, c_inv = split
+        yield word if end - start == 1 else c + z * (end - start) + c_inv
+
+
+def _cyclic_split(word: Word) -> tuple[Word, Word, Word]:
+    """(c, z, c^-1) with word = c z c^-1 and z cyclically reduced, for a
+    freely reduced word; z is empty only for the empty word."""
+    k, n = 0, len(word)
+    while 2 * k + 1 < n and word[k] == -word[n - 1 - k]:
+        k += 1
+    return word[:k], word[k:n - k], word[n - k:]
 
 
 @lru_cache(maxsize=32)

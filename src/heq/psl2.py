@@ -16,18 +16,20 @@ only sign-normalized.  Every word value in the pipeline (equations.evaluate,
 the coefficients of equations.reduce_equation, words.eval_ab,
 freewords.pq_to_matrix) is multiplied out by _product over entry tuples, as
 plain ints, with one sign normalization at the end.  equations.evaluate
-feeds it one tuple per letter.  words.eval_ab and freewords.pq_to_matrix,
-whose alphabets are fixed, go through _block_product, which feeds it one
-tuple per block: the word is cut into consecutive slices of BLOCK letters,
-and each slice is looked up in a table of the products of every word of
-1..BLOCK letters (_block_table), built at import from the letter table.  A
-block's product is taken mod -I like any other, so the final value is
-unchanged; a word of at most BLOCK letters is a single lookup.  The
-pipeline's self-checks compare these values with letterwise products
-(analyze compares pq_to_matrix with evaluate, verify's check (c) likewise,
-words.expand compares eval_ab with its input matrix), so a wrong block entry
-raises or fails a check.  Only the enumeration oracle keeps its own entry
-arithmetic, so that it stays an independent cross-check.
+feeds it one tuple per letter, except for a long word whose x letters cut it
+into long segments: it gets each segment's product, each distinct segment
+multiplied once, with g^+-1 between them.  words.eval_ab and
+freewords.pq_to_matrix, whose alphabets are fixed, go through
+_block_product, which feeds it one tuple per block: the word is cut into
+consecutive slices of BLOCK letters, and each slice is looked up in a table
+of the products of every word of 1..BLOCK letters (_block_table), built at
+import from the letter table.  A block's product is taken mod -I like any
+other, so the final value is unchanged; a word of at most BLOCK letters is a
+single lookup.  The pipeline's self-checks compare these values with
+letterwise products (analyze compares pq_to_matrix with evaluate, verify's
+check (c) likewise, words.expand compares eval_ab with its input matrix), so
+a wrong block entry raises or fails a check.  Only the enumeration oracle
+keeps its own entry arithmetic, so that it stays an independent cross-check.
 
 The letter tables that _product and the oracle's ball loop over
 (HContext._entries, which HContext.letter_matrix and so enumeration._ball

@@ -9,6 +9,7 @@ import pytest
 import heq
 from heq.psl2 import MAT_A, MAT_B, ProjMat2
 from heq.equations import HContext
+from heq.freewords import free_reduce, invert_word
 from heq.words import invert_ab
 
 # Fixed seed for the randomized property suites; override with HEQ_SEED.
@@ -116,6 +117,19 @@ def letters_ab_word(word, ctx: HContext) -> tuple[str, ...]:
     words = ctx.h_words + (ctx.g_word,)
     return reduce_ab_reference(chain.from_iterable(
         words[let - 1] if let > 0 else invert_ab(words[-let - 1]) for let in word))
+
+
+def substitute_reference(relator, ws) -> tuple[int, ...]:
+    """The relator with each letter x_i written out as ws[i-1] (inverted for
+    -i), letter by letter, then freely reduced in one pass: the route
+    freewords.substitute's run path replaced, kept as a reference for it.
+    Raises IndexError at the first letter outside 1..len(ws)."""
+    out: list[int] = []
+    for let in relator:
+        if not 1 <= abs(let) <= len(ws):
+            raise IndexError(f"relator letter {let} outside 1..{len(ws)}")
+        out.extend(ws[let - 1] if let > 0 else invert_word(ws[-let - 1]))
+    return free_reduce(out)
 
 
 def random_matrix(rng: random.Random, max_len: int = 12) -> ProjMat2:

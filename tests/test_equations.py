@@ -11,6 +11,8 @@ import heq.equations
 
 from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2, _product
 from heq.equations import (
+    SEGMENT_MEAN,
+    SEGMENT_MIN_LETTERS,
     HContext,
     HEquation,
     _provenance,
@@ -228,6 +230,66 @@ def test_segment_memo_matches_letterwise_loop(h1, rng):
             merged += eq.degree < word.count(ctx.x_letter) + word.count(-ctx.x_letter)
     assert merged > 100
 
+
+def test_evaluate_segment_path_matches_reference(h1, rng, monkeypatch):
+    """Long words cut by their x's into repeated, unrepeated and empty
+    segments, and words on both sides of each edge of the rule that picks
+    the segment path, against the ProjMat2 reference."""
+    taken = []
+    segments = heq.equations._segments
+
+    def counting(word, x, entry):
+        taken.append(word)
+        return segments(word, x, entry)
+
+    monkeypatch.setattr(heq.equations, "_segments", counting)
+    contexts = [HContext.from_matrices([ProjMat2(1, 2, 0, 1)], ProjMat2(1, 60, 0, 1)),
+                HContext.from_matrices([MAT_A, MAT_B], h1),
+                HContext.from_matrices([h1, ProjMat2(2, 1, 1, 1)], ProjMat2(5, 3, 3, 2))]
+    words = []
+    for ctx in contexts:
+        x = ctx.x_letter
+        hs = [s * i for i in range(1, x) for s in (1, -1)]
+        for _ in range(100):
+            # parabolic-shaped: one long segment that comes back, fresh
+            # segments, and empty ones, the first and last included
+            power = (rng.choice(hs),) * rng.randrange(8, 40)
+            parts = []
+            for _ in range(rng.randrange(2, 30)):
+                kind = rng.random()
+                parts.append(power if kind < 0.6 else () if kind < 0.8
+                             else tuple(rng.choice(hs) for _ in range(rng.randrange(1, 12))))
+            word = list(parts[0])
+            for part in parts[1:]:
+                word += [rng.choice((x, -x)), *part]
+            words.append((ctx, tuple(word)))
+    # the rule's edges, over the first context: 64 letters with 2 x's and
+    # 63; 100 letters with 2 x's and with 1; 64 letters with 7 x's
+    # (segments of 8 on average) and with 8
+    ctx = contexts[0]
+    x = ctx.x_letter
+    edges = {(1,) * 30 + (x,) + (1,) * 2 + (-x,) + (1,) * 30: True,
+             (1,) * 30 + (x,) + (1,) + (-x,) + (1,) * 30: False,
+             (1,) * 49 + (x, x) + (-1,) * 49: True,
+             (1,) * 49 + (x,) + (-1,) * 50: False,
+             (x,) + ((1,) * 8 + (-x,)) * 6 + (1,) * 9: True,
+             (x,) + ((1,) * 7 + (-x,)) * 7 + (1,) * 7: False}
+    assert {len(word) for word in edges} == {63, 64, 100}
+    for word, segment_path in edges.items():
+        before = len(taken)
+        assert tuple(evaluate(word, ctx)) == tuple(evaluate_reference(word, ctx)), word
+        assert (len(taken) > before) == segment_path, word
+    for ctx, word in words:
+        assert tuple(evaluate(word, ctx)) == tuple(evaluate_reference(word, ctx)), word
+        assert evaluate(list(word), ctx) == evaluate(word, ctx)
+    # each word goes segment by segment exactly when the rule says so
+    rule = set()
+    for ctx, word in words:
+        xs = word.count(ctx.x_letter) + word.count(-ctx.x_letter)
+        if len(word) >= SEGMENT_MIN_LETTERS and xs >= 2 and len(word) >= SEGMENT_MEAN * (xs + 1):
+            rule.add(word)
+    assert set(taken) == rule | {w for w, on in edges.items() if on}
+    assert 100 < len(rule) < len(words) - 30
 
 def test_reduced_invariant_holds(ctx_43, rng):
     letters = [1, -1, 2, -2, 3, -3]

@@ -364,21 +364,32 @@ def test_report_survives_copy_and_pickle(h1, h2):
 def test_relators_are_not_expanded_through_v_words(monkeypatch):
     # T^400 over T: relators of up to 34980 letters over v-words of up to
     # 800; expanded through the v-words they reach 14 million letters.
-    # substitute hands every expansion to heq.freewords.free_reduce.
-    longest = 0
+    # substitute hands a relator without runs to heq.freewords.free_reduce
+    # whole, and the powers of a relator with runs to
+    # heq.freewords.join_reduced: both are recorded, join_reduced by the
+    # letters of all the words it joins in one call.
+    longest = {"free_reduce": 0, "join_reduced": 0}
     free_reduce = heq.freewords.free_reduce
+    join_reduced = heq.freewords.join_reduced
 
-    def recording(letters):
-        nonlocal longest
+    def recording_reduce(letters):
         letters = list(letters)
-        longest = max(longest, len(letters))
+        longest["free_reduce"] = max(longest["free_reduce"], len(letters))
         return free_reduce(letters)
 
-    monkeypatch.setattr(heq.freewords, "free_reduce", recording)
+    def recording_join(words):
+        words = list(words)
+        total = sum(map(len, words))
+        longest["join_reduced"] = max(longest["join_reduced"], total)
+        return join_reduced(words)
+
+    monkeypatch.setattr(heq.freewords, "free_reduce", recording_reduce)
+    monkeypatch.setattr(heq.freewords, "join_reduced", recording_join)
     report = analyze([ProjMat2(1, 400, 0, 1)], ProjMat2(1, 1, 0, 1))
     restored = AnalysisReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert verify(restored).ok
-    assert 0 < longest <= WORD_BUDGET
+    assert 0 < longest["free_reduce"] <= WORD_BUDGET
+    assert 0 < longest["join_reduced"] <= WORD_BUDGET
 
 
 def test_analyze_catches_a_relator_that_does_not_kill_the_v_words(h1, h2, monkeypatch):
