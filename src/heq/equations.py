@@ -343,7 +343,8 @@ def rewrite_values(words: Sequence[EqWord], ctx: HContext) -> tuple[FreeWord, ..
 
 # evaluate goes segment by segment through a word of at least this many
 # letters with two or more x's and segments of SEGMENT_MEAN letters or more
-# on average; any other word is multiplied out letter by letter
+# on average; any other word is multiplied out letter by letter, which is
+# the faster pass on shorter words and on words with shorter segments
 SEGMENT_MIN_LETTERS = 64
 SEGMENT_MEAN = 8
 
@@ -359,7 +360,12 @@ def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
     the same product of the same letter matrices, bracketed differently and
     normalized once at the end, so it is exactly the letterwise value.  Any
     other word goes to _product letter by letter in one pass; the choice
-    costs a length test, and for a long word two tuple.count calls.
+    costs a length test, and for a long word two tuple.count calls.  The
+    segment path pays for finding the cuts and for one slice, dict lookup
+    and _product call per segment, and wins that back only where segments
+    repeat or the word is long: on shorter words, and on words with
+    segments of one or two letters such as the ideal words of T^1000 over
+    T, the letterwise pass is the faster one.
     """
     entry = ctx._entries.__getitem__
     if isinstance(w, HEquation):

@@ -27,7 +27,7 @@ a/b-word; matrix_to_free_word walks a matrix's normal form from state 0.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress
 from operator import ne, neg
 from typing import Iterable, Iterator, Sequence
 
@@ -84,32 +84,28 @@ def invert_word(word: Word) -> Word:
 
 
 # substitute goes run by run through a relator of at least this many
-# letters with at most three runs of equal letters for every four letters
-RUN_MIN_LETTERS = 16
+# letters and writes a shorter one out letter by letter
+RUN_MIN_LETTERS = 32
 
 
 def substitute(relator: Word, ws: Sequence[Word]) -> Word:
     """Replace each abstract letter x_i of the relator by ws[i-1], freely reduced.
 
-    A relator of at least RUN_MIN_LETTERS letters with at most three runs
-    for every four letters, as the relators of commuting inputs are, goes
-    run by run.  A run x_i^m becomes the power w^m of w, the free reduction
-    of ws[i-1] (inverted for -i), built by tuple repetition as c z^m c^-1,
-    where w = c z c^-1 with z cyclically reduced (Lyndon-Schupp, Ch. IV):
-    that word is freely reduced.  join_reduced joins the powers, cancelling
-    only at their junctions.  Free reduction is confluent, so the result is
-    the free reduction of the letterwise substitution, letter for letter.
-    Any other relator is written out letter by letter and freely reduced in
-    one pass; finding a long relator's runs is one C-level comparison of
-    neighbours.  On either path a letter outside 1..len(ws) raises
+    A relator of at least RUN_MIN_LETTERS letters goes run by run.  A run
+    x_i^m becomes the power w^m of w, the free reduction of ws[i-1]
+    (inverted for -i), built by tuple repetition as c z^m c^-1, where
+    w = c z c^-1 with z cyclically reduced (Lyndon-Schupp, Ch. IV): that
+    word is freely reduced.  join_reduced joins the powers, cancelling only
+    at their junctions.  Free reduction is confluent, so the result is the
+    free reduction of the letterwise substitution, letter for letter.  A
+    shorter relator is written out letter by letter and freely reduced in
+    one pass: there the run path's fixed cost, finding the runs, reducing
+    and splitting each w and joining the pieces, outweighs the per-letter
+    work it saves.  On either path a letter outside 1..len(ws) raises
     IndexError when it is reached, and no earlier.
     """
-    n = len(relator)
-    if n >= RUN_MIN_LETTERS:
-        # the index of each letter that differs from the one before it
-        starts = [0, *compress(range(1, n), map(ne, relator, islice(relator, 1, None)))]
-        if 4 * len(starts) <= 3 * n:
-            return join_reduced(_run_powers(relator, ws, starts))
+    if len(relator) >= RUN_MIN_LETTERS:
+        return join_reduced(_run_powers(relator, ws))
     out: list[int] = []
     inverses: dict[int, Word] = {}  # each ws[i] is inverted at most once
     for let in relator:
@@ -124,10 +120,12 @@ def substitute(relator: Word, ws: Sequence[Word]) -> Word:
     return free_reduce(out)
 
 
-def _run_powers(relator: Word, ws: Sequence[Word], starts: list[int]) -> Iterator[Word]:
+def _run_powers(relator: Word, ws: Sequence[Word]) -> Iterator[Word]:
     """The freely reduced power of the substituted word for each run of the
-    relator, the runs beginning at starts."""
-    splits: dict[int, tuple[Word, Word, Word, Word]] = {}  # letter -> (w, c, z, c^-1)
+    relator.  The runs are found by one C-level comparison of each letter
+    with the one before it."""
+    starts = [*compress(range(len(relator)), map(ne, relator, (None, *relator)))]
+    splits: dict[int, tuple[Word, Word, Word]] = {}  # letter -> (c, z, c^-1)
     for start, end in zip(starts, [*starts[1:], len(relator)]):
         let = relator[start]
         split = splits.get(let)
@@ -135,9 +133,9 @@ def _run_powers(relator: Word, ws: Sequence[Word], starts: list[int]) -> Iterato
             if not 1 <= abs(let) <= len(ws):
                 raise IndexError(f"relator letter {let} outside 1..{len(ws)}")
             word = free_reduce(ws[let - 1] if let > 0 else invert_word(ws[-let - 1]))
-            split = splits[let] = (word, *_cyclic_split(word))
-        word, c, z, c_inv = split
-        yield word if end - start == 1 else c + z * (end - start) + c_inv
+            split = splits[let] = _cyclic_split(word)
+        c, z, c_inv = split
+        yield c + z * (end - start) + c_inv
 
 
 def _cyclic_split(word: Word) -> tuple[Word, Word, Word]:

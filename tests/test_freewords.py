@@ -311,15 +311,16 @@ def test_token_table_memo_is_bounded():
 
 
 def test_substitute_run_path_matches_reference(rng, monkeypatch):
-    """Relators with runs of both signs over words that are conjugates,
-    empty, proper powers or not freely reduced, on both sides of the rule
-    that picks the run path, against the letterwise reference."""
+    """Relators with and without runs, runs of both signs, over words that
+    are conjugates, empty, proper powers or not freely reduced, on both
+    sides of the length rule that picks the run path, against the
+    letterwise reference."""
     taken = []
     run_powers = heq.freewords._run_powers
 
-    def counting(relator, ws, starts):
+    def counting(relator, ws):
         taken.append(relator)
-        return run_powers(relator, ws, starts)
+        return run_powers(relator, ws)
 
     monkeypatch.setattr(heq.freewords, "_run_powers", counting)
     fixed = [(1, 3, -1), (), (2, 2, 2), (1, 3, 1, 3), (1, -1, 3), (3, 2, -2, -3, 1),
@@ -331,37 +332,41 @@ def test_substitute_run_path_matches_reference(rng, monkeypatch):
                       for _ in range(rng.randrange(4))]
         rng.shuffle(ws)
         relator: list[int] = []
-        # runs of 1..12 letters, or of one letter only, so that the relator
-        # falls on either side of the three-runs-in-four-letters rule
+        # runs of 1..12 letters, or of one letter only, in relators long and
+        # short enough that either kind falls on either side of the rule
         longest = rng.choice((1, 2, 12))
-        for _ in range(rng.randrange(1, 30)):
+        for _ in range(rng.randrange(1, 45)):
             let = rng.choice((1, -1)) * rng.randrange(1, len(ws) + 1)
+            if relator and let == relator[-1]:
+                let = -let
             relator += [let] * rng.randrange(1, longest + 1)
         relator = tuple(relator)
         relators.append(relator)
         assert substitute(relator, ws) == substitute_reference(relator, ws), (relator, ws)
-    # the rule at its edges: 16 letters in 12 runs and in 13, and 16 and 15
-    # letters in 2 runs
+    # the rule at its edges: 32 and 31 letters, in 2 runs and in one-letter
+    # runs only
     ws = fixed
-    edges = {(1,) * 5 + (2, -3, 4, 5, -6, 7, 8, -1, 2, 3, -4): True,
-             (1,) * 4 + (2, -3, 4, 5, -6, 7, 8, -1, 2, 3, -4, 5): False,
-             (2,) * 8 + (-7,) * 8: True,
-             (2,) * 8 + (-7,) * 7: False}
+    no_runs = (1, 2, -3, 4, 5, -6, 7, 8) * 4
+    edges = {(2,) * 16 + (-7,) * 16: True,
+             (2,) * 16 + (-7,) * 15: False,
+             no_runs: True,
+             no_runs[:-1]: False}
+    assert {len(r) for r in edges} == {RUN_MIN_LETTERS, RUN_MIN_LETTERS - 1}
     for relator, run_path in edges.items():
         relators.append(relator)
         before = len(taken)
         assert substitute(relator, ws) == substitute_reference(relator, ws), relator
         assert (len(taken) > before) == run_path, relator
-    # each relator goes run by run exactly when the rule says so
-    rule = {r for r in relators
-            if len(r) >= RUN_MIN_LETTERS
-            and 4 * (1 + sum(a != b for a, b in zip(r, r[1:]))) <= 3 * len(r)}
+    # each relator goes run by run exactly when the rule says so, with and
+    # without runs
+    rule = {r for r in relators if len(r) >= RUN_MIN_LETTERS}
     assert set(taken) == rule
     assert 100 < len(rule) < len(relators) - 100
+    assert sum(all(a != b for a, b in zip(r, r[1:])) for r in rule) > 10
     # an out-of-range letter after a run raises on both paths
-    for relator in ((1,) * 20 + (9,), (1,) * 20 + (-2, 0), (1, 2, 9), (-1, 0)):
+    for relator in ((1,) * 40 + (9,), (1,) * 40 + (-2, 0), (1, 2, 9), (-1, 0)):
         with pytest.raises(IndexError):
             substitute(relator, ws)
         with pytest.raises(IndexError):
             substitute_reference(relator, ws)
-    assert (1,) * 20 + (9,) in taken and (1, 2, 9) not in taken
+    assert (1,) * 40 + (9,) in taken and (1, 2, 9) not in taken
