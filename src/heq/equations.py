@@ -13,7 +13,10 @@ of letter entry 4-tuples: a word is a product of determinant-1 matrices, so
 its value needs no determinant check, only one sign normalization.  A long
 word whose x letters cut it into long segments, as the ideal words of
 commuting inputs are, is multiplied one distinct segment at a time
-(evaluate, _segments).
+(evaluate, _segments), and only once per context: reduce_equation keeps the
+cuts and segment products of such a word on the context, and evaluate reads
+them for the same word object.  render_equation formats each distinct
+coefficient word once per call.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ class HContext:
     for its normal form.  is_trivial(word) reads the flag without a normal
     form wherever the x-exponent sum or the value decides it, and through
     equation otherwise.
+
+    _cuts shares one word's cuts and segment products between
+    reduce_equation, which stores them, and evaluate, which reads them, so
+    analyze cuts and multiplies each long ideal word once, not once to
+    reduce it and again to check its value.  Only a tuple that evaluate's
+    segment rule takes is kept, under id(word), with the word itself: a
+    lookup hashes no letters, so a miss costs no pass over the word, and the
+    held word keeps its id from being reused.  A hit must be that very
+    object (kept[0] is word); an equal word that is another object, or a key
+    carried over by copy or pickle, is cut again.  The products depend on
+    the letters only, so reading them is exactly cutting the word again.
     """
 
     h_mats: tuple[ProjMat2, ...]
@@ -61,6 +75,8 @@ class HContext:
     _ab_words: dict[int, ABWord] = field(
         init=False, repr=False, compare=False, default_factory=dict)
     _equations: dict[EqWord, HEquation] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    _cuts: dict[int, tuple[EqWord, list[int], list[ProjMat2]]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -213,9 +229,17 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     evaluate's segment path uses: a word with two or more x's multiplies
     each distinct segment once per call.  A merge multiplies the carried
     coefficient onto the segment's product afterwards, so a merged product
-    never stands in for a segment's.
+    never stands in for a segment's.  A coefficient that absorbed no merge
+    spans one segment, which holds no x, so its slice is its provenance;
+    only a merged coefficient's slice is rescanned (_provenance).
+
+    A word given as a tuple that evaluate's segment rule takes leaves its
+    cuts and segment products on the context (HContext._cuts) for evaluate
+    to read instead of cutting and multiplying the word again.  They are
+    what _segments returns for the word, before any merge, so evaluate's
+    value is the one it would compute itself.
     """
-    word = tuple(word)
+    given, word = word, tuple(word)
     x = ctx.x_letter
     coeffs: list[tuple[ProjMat2, Word]] = []
     signs: list[int] = []
@@ -223,6 +247,11 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
     carry: ProjMat2 | None = None  # a merged coefficient's matrix so far
     start = 0  # the current coefficient begins here
     cuts, products = _segments(word, x, ctx._entries.__getitem__)
+    n, xs = len(word), len(cuts)
+    # evaluate's segment rule; a list's tuple copy dies with this call
+    if (n >= SEGMENT_MIN_LETTERS and xs >= 2 and n >= SEGMENT_MEAN * (xs + 1)
+            and word is given):
+        ctx._cuts[id(word)] = word, cuts, products
     for end, cur in zip(cuts, products):
         if carry is not None:
             cur = carry * cur
@@ -232,14 +261,16 @@ def reduce_equation(word: EqWord, ctx: HContext) -> HEquation:
             carry = coeffs.pop()[0]
             start = starts.pop()
         else:
-            coeffs.append((cur, _provenance(word[start:end], x)))
+            part = word[start:end]
+            coeffs.append((cur, part if carry is None else _provenance(part, x)))
             starts.append(start)
             signs.append(sign)
             carry, start = None, end + 1
     cur = products[-1]
+    part = word[start:]
     if carry is not None:
-        cur = carry * cur
-    coeffs.append((cur, _provenance(word[start:], x)))
+        cur, part = carry * cur, _provenance(part, x)
+    coeffs.append((cur, part))
     return HEquation(coeffs, signs)
 
 
@@ -292,8 +323,6 @@ def _segments(word: Word, x: int, entry) -> tuple[list[int], list[ProjMat2]]:
 def _provenance(part: EqWord, x: int) -> Word:
     """The h-letters of a coefficient's slice: a merged coefficient's slice
     still holds the x letters that cancelled inside it."""
-    if x not in part and -x not in part:
-        return part
     return tuple(let for let in part if let != x and let != -x)
 
 
@@ -366,6 +395,11 @@ def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
     repeat or the word is long: on shorter words, and on words with
     segments of one or two letters such as the ideal words of T^1000 over
     T, the letterwise pass is the faster one.
+
+    A word that reduce_equation has cut under this context, the same tuple
+    object, takes its cuts and segment products from HContext._cuts and
+    skips the rule, which held when they were stored; the lookup is by
+    identity, so it costs no pass over the word when it misses.
     """
     entry = ctx._entries.__getitem__
     if isinstance(w, HEquation):
@@ -376,17 +410,22 @@ def evaluate(w: EqWord | HEquation, ctx: HContext) -> ProjMat2:
             factors += (g_entries[sign], mat)
         return _product(factors)
     n = len(w)
-    if n >= SEGMENT_MIN_LETTERS:
+    if n < SEGMENT_MIN_LETTERS:
+        return _product(map(entry, w))
+    kept = ctx._cuts.get(id(w))
+    if kept is not None and kept[0] is w:
+        _, cuts, products = kept
+    else:
         word = tuple(w)
         x = ctx.x_letter
         xs = word.count(x) + word.count(-x)
-        if xs >= 2 and n >= SEGMENT_MEAN * (xs + 1):
-            cuts, products = _segments(word, x, entry)
-            factors = [products[0]]
-            for end, cur in zip(cuts, products[1:]):
-                factors += (entry(word[end]), cur)
-            return _product(factors)
-    return _product(map(entry, w))
+        if xs < 2 or n < SEGMENT_MEAN * (xs + 1):
+            return _product(map(entry, w))
+        cuts, products = _segments(word, x, entry)
+    factors = [products[0]]
+    for end, cur in zip(cuts, products[1:]):
+        factors += (entry(w[end]), cur)
+    return _product(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +458,33 @@ def _x_runs(eq: HEquation) -> list[tuple[int, int, int]]:
 def render_equation(eq: HEquation, ctx: HContext, matrices: bool = False) -> str:
     """Display rendering: 'h1 x^-1 h1^-1 x ...' or the matrix form with
     X tokens.  Identity coefficients are omitted and consecutive x's with
-    trivial coefficients in between are collected into powers."""
+    trivial coefficients in between are collected into powers.
+
+    Each distinct provenance is formatted once per call, its text kept in a
+    dict local to the call: the ideal words of commuting inputs repeat one
+    coefficient word dozens to hundreds of thousands of times.  The key is
+    the provenance, not the matrix: under torsion two different words can
+    have one matrix and must still print apart, while a coefficient's
+    matrix is the product of its provenance's letters, so one provenance
+    prints alike in both forms."""
     if eq.is_trivial():
         return "I" if matrices else "1"
     var = "X" if matrices else "x"
     parts: list[str] = []
+    texts: dict[Word, str] = {}  # provenance -> its coefficient's text
 
     def emit_coeff(idx: int) -> None:
         mat, prov = eq.coeffs[idx]
         if mat == IDENTITY:
             return
-        if matrices:
-            parts.append(str(mat))
-        elif prov:
-            parts.append(format_word(prov, ctx.letter_names))
-        else:
-            parts.append(str(mat))
+        text = texts.get(prov)
+        if text is None:
+            if matrices or not prov:
+                text = str(mat)
+            else:
+                text = format_word(prov, ctx.letter_names)
+            texts[prov] = text
+        parts.append(text)
     emit_coeff(0)
     for start, length, sign in _x_runs(eq):
         exp = length * sign

@@ -7,9 +7,9 @@ from itertools import chain
 import pytest
 
 import heq
-from heq.psl2 import MAT_A, MAT_B, ProjMat2
-from heq.equations import HContext
-from heq.freewords import free_reduce, invert_word
+from heq.psl2 import IDENTITY, MAT_A, MAT_B, ProjMat2
+from heq.equations import HContext, _x_runs
+from heq.freewords import format_word, free_reduce, invert_word
 from heq.words import invert_ab
 
 # Fixed seed for the randomized property suites; override with HEQ_SEED.
@@ -130,6 +130,33 @@ def substitute_reference(relator, ws) -> tuple[int, ...]:
             raise IndexError(f"relator letter {let} outside 1..{len(ws)}")
         out.extend(ws[let - 1] if let > 0 else invert_word(ws[-let - 1]))
     return free_reduce(out)
+
+
+def render_equation_reference(eq, ctx: HContext, matrices: bool = False) -> str:
+    """render_equation with every coefficient formatted where it is met: the
+    loop equations.render_equation's per-call provenance memo replaced, kept
+    as a reference for it."""
+    if eq.is_trivial():
+        return "I" if matrices else "1"
+    var = "X" if matrices else "x"
+    parts: list[str] = []
+
+    def emit_coeff(idx: int) -> None:
+        mat, prov = eq.coeffs[idx]
+        if mat == IDENTITY:
+            return
+        if matrices:
+            parts.append(str(mat))
+        elif prov:
+            parts.append(format_word(prov, ctx.letter_names))
+        else:
+            parts.append(str(mat))
+    emit_coeff(0)
+    for start, length, sign in _x_runs(eq):
+        exp = length * sign
+        parts.append(var if exp == 1 else f"{var}^{exp}")
+        emit_coeff(start + length)
+    return " ".join(parts)
 
 
 def random_matrix(rng: random.Random, max_len: int = 12) -> ProjMat2:

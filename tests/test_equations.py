@@ -29,7 +29,7 @@ from heq.freewords import (NotInKernel, free_reduce, invert_word, matrix_to_free
 from heq.pipeline import AnalysisReport, analyze, verify
 from heq.words import abelianize, decompose, quotient_order
 
-from conftest import letters_ab_word, random_matrix, run_python
+from conftest import letters_ab_word, random_matrix, render_equation_reference, run_python
 
 
 def cyclic_reduce(word):
@@ -290,6 +290,94 @@ def test_evaluate_segment_path_matches_reference(h1, rng, monkeypatch):
             rule.add(word)
     assert set(taken) == rule | {w for w, on in edges.items() if on}
     assert 100 < len(rule) < len(words) - 30
+
+
+def takes_segments(word, ctx):
+    """evaluate's segment rule, written out."""
+    n, xs = len(word), word.count(ctx.x_letter) + word.count(-ctx.x_letter)
+    return n >= SEGMENT_MIN_LETTERS and xs >= 2 and n >= SEGMENT_MEAN * (xs + 1)
+
+
+def test_long_ideal_words_are_cut_once(rng, monkeypatch):
+    """analyze reduces each ideal word and then evaluates it: a word the
+    segment rule takes is cut and multiplied out once, by reduce_equation,
+    and evaluate reads the cuts back for that word object only."""
+    cut = []  # every word _segments is called on; held, so no id is reused
+    segments = heq.equations._segments
+
+    def counting(word, x, entry):
+        cut.append(word)
+        return segments(word, x, entry)
+
+    def times_cut(word):
+        return sum(w is word for w in cut)
+
+    monkeypatch.setattr(heq.equations, "_segments", counting)
+    n = rng.randrange(190, 211)
+    report = analyze([ProjMat2(1, rng.choice((2, 3)), 0, 1)], ProjMat2(1, n, 0, 1))
+    ctx = report.ctx
+    taken = [w for w in report.ideal_words if takes_segments(w, ctx)]
+    assert taken, n
+    for word in taken:
+        assert times_cut(word) == 1, (n, len(word))
+        # a reused value, read without a cut
+        assert tuple(evaluate(word, ctx)) == tuple(evaluate_reference(word, ctx)) == IDENTITY
+        assert times_cut(word) == 1
+        # an equal word that is another object is cut again, to the same value
+        twin = tuple(list(word))
+        assert twin == word and twin is not word
+        assert evaluate(twin, ctx) == evaluate(word, ctx)
+        assert times_cut(twin) == 1
+        assert ctx._cuts[id(word)][0] is word
+    # only the words the rule takes are kept, each under its own identity
+    kept = [entry[0] for entry in ctx._cuts.values()]
+    assert all(takes_segments(w, ctx) for w in kept)
+    assert all(any(w is k for k in kept) for w in taken)
+    # a list is cut and reduced as its tuple copy, which is not kept
+    before = len(ctx._cuts)
+    fresh = HContext.from_matrices(ctx.h_mats, ctx.g_mat)
+    assert reduce_equation(list(taken[-1]), fresh) == ctx.equation(taken[-1])
+    assert not fresh._cuts and len(ctx._cuts) == before
+    # T^200 over T: long ideal words with segments of under two letters on
+    # average, which the rule leaves to the letterwise pass: nothing is kept
+    report = analyze([ProjMat2(1, 200, 0, 1)], ProjMat2(1, 1, 0, 1))
+    assert max(map(len, report.ideal_words)) > 10 * SEGMENT_MIN_LETTERS
+    assert not report.ctx._cuts
+
+
+def test_render_memo_matches_per_coefficient_reference(ctx_43, rng):
+    """render_equation formats each distinct provenance once per call; on
+    the normal forms of parabolic and T^200-over-T ideal words and of words
+    over torsion h's, where equal matrices carry different provenances, it
+    must print what formatting every coefficient where it is met prints,
+    in both forms."""
+    n = rng.randrange(190, 211)
+    cases = []
+    for h, g in ((ProjMat2(1, 2, 0, 1), ProjMat2(1, n, 0, 1)),
+                 (ProjMat2(1, 200, 0, 1), ProjMat2(1, 1, 0, 1))):
+        report = analyze([h], g)
+        cases += [(report.ctx, word) for word in report.ideal_words]
+    torsion = [ctx_43, HContext.from_matrices([MAT_B, MAT_A], MAT_B)]  # h2^2 = I, b^3 = I
+    cases.append((ctx_43, parse_eq_word("h2 x h2^-1 x h1 x^-1 h1", ctx_43)))
+    for ctx in torsion:
+        x = ctx.x_letter
+        letters = [x, -x] + [s * i for i in range(1, x) for s in (1, -1)]
+        for _ in range(300):
+            cases.append((ctx, tuple(rng.choice(letters) for _ in range(rng.randrange(30)))))
+    clashes = 0
+    for ctx, word in cases:
+        eq = reduce_equation(word, ctx)
+        ref = reduce_equation_letterwise(word, ctx)
+        for matrices in (False, True):
+            got = render_equation(eq, ctx, matrices)
+            assert got == render_equation_reference(ref, ctx, matrices), (word, matrices)
+        texts = {}
+        for mat, prov in eq.coeffs:
+            if mat != IDENTITY:
+                texts.setdefault(mat, set()).add(prov)
+        clashes += any(len(provs) > 1 for provs in texts.values())
+    # equal matrices with different provenances in one equation
+    assert clashes > 20
 
 def test_reduced_invariant_holds(ctx_43, rng):
     letters = [1, -1, 2, -2, 3, -3]
