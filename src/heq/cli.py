@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     h_mats, g_mat = _split_inputs(args.matrices)
-    ctx = HContext.from_matrices(h_mats, g_mat)
+    ctx = HContext(h_mats, g_mat)
     result = enumerate_kernel(ctx, args.max_len)
     # one JSON object a line, as json.dumps would write it: the letter
     # names h1..hs and x and the ^, - and digits of powers need no escaping
@@ -147,7 +147,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_schreier(args) -> int:
     h_mats, g_mat = _split_inputs(args.matrices)
-    ctx = HContext.from_matrices(h_mats, g_mat)
+    ctx = HContext(h_mats, g_mat)
     graph = equation_schreier_graph(ctx)
     if args.dot:
         print(to_dot(graph))

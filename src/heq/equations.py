@@ -122,8 +122,8 @@ class HContext:
 
     @classmethod
     def from_matrices(cls, h_mats: Sequence[ProjMat2], g_mat: ProjMat2) -> "HContext":
-        """HContext(h_mats, g_mat).  Kept as the entry point analyze and the
-        CLI call and perfbench's spans wrap by this name."""
+        """HContext(h_mats, g_mat).  Kept only because analyze calls it and
+        perfbench's words.decompose span wraps it by this name."""
         return cls(h_mats, g_mat)
 
     @property

@@ -141,11 +141,19 @@ class AnalysisReport:
         from h and g alone and peels the matrices, expanding no a/b-word;
         no equation word is reduced.  h_words, g_word, the images and the
         other rendered fields are not read."""
+        pres = data["presentation"]
+        # a JSON object in place of a list would be read by its keys
+        for key, value in (("h", data["h"]), ("generators", data["generators"]),
+                           ("v_words", data["v_words"]), ("equations", data["equations"]),
+                           ("presentation.relators", pres["relators"])):
+            if type(value) is not list:
+                raise TypeError(f"{key} is a {type(value).__name__}, not a list")
+        if type(data["verdict"]) is not str:
+            raise TypeError(f"verdict is a {type(data['verdict']).__name__}, not a string")
         ctx = HContext(tuple(map(ProjMat2.from_rows, data["h"])),
                        ProjMat2.from_rows(data["g"]))
         w_words = tuple(parse_eq_word(g["word"], ctx) for g in data["generators"])
         v_words = tuple(parse_free_word(v) for v in data["v_words"])
-        pres = data["presentation"]
         for key, value in (("index", data["index"]), ("generators", pres["generators"]),
                            ("rank", pres["rank"])):
             if type(value) is not int:
